@@ -25,6 +25,9 @@
 // percentage. Benchmarks present on only one side are listed but never
 // fail the gate (new benchmarks have no baseline; retired ones have no
 // current run).
+//
+// Benchmarks are matched by name, so a name that appears twice, on
+// stdin or in the baseline, is an error that lists the repeated names.
 package main
 
 import (
@@ -95,6 +98,24 @@ func parse(sc *bufio.Scanner) ([]Result, error) {
 		out = append(out, r)
 	}
 	return out, sc.Err()
+}
+
+// checkUnique returns an error naming every benchmark that appears more
+// than once in rs.
+func checkUnique(rs []Result) error {
+	count := map[string]int{}
+	var dups []string
+	for _, r := range rs {
+		count[r.Name]++
+		if count[r.Name] == 2 {
+			dups = append(dups, r.Name)
+		}
+	}
+	if len(dups) > 0 {
+		sort.Strings(dups)
+		return fmt.Errorf("duplicate benchmark names: %s", strings.Join(dups, ", "))
+	}
+	return nil
 }
 
 // delta is one compared benchmark: the ns/op change from baseline to
@@ -178,6 +199,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
+	if err := checkUnique(results); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson: stdin:", err)
+		os.Exit(1)
+	}
 
 	if *baselinePath != "" {
 		raw, err := os.ReadFile(*baselinePath)
@@ -187,6 +212,10 @@ func main() {
 		}
 		var baseline []Result
 		if err := json.Unmarshal(raw, &baseline); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: baseline %s: %v\n", *baselinePath, err)
+			os.Exit(1)
+		}
+		if err := checkUnique(baseline); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: baseline %s: %v\n", *baselinePath, err)
 			os.Exit(1)
 		}

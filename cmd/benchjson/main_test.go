@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -92,5 +93,36 @@ func TestParseRejectsNothing(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("parsed %d results from noise", len(got))
+	}
+}
+
+func TestCheckUniqueNamesDuplicates(t *testing.T) {
+	in := `BenchmarkA-2   1   10 ns/op
+BenchmarkB-2   1   20 ns/op
+BenchmarkA-2   1   30 ns/op
+BenchmarkC/sub-2   1   40 ns/op
+BenchmarkC/sub-2   1   50 ns/op
+BenchmarkA-2   1   60 ns/op
+`
+	got, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = checkUnique(got)
+	if err == nil {
+		t.Fatal("duplicate names accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "BenchmarkA, BenchmarkC/sub") || strings.Contains(msg, "BenchmarkB") {
+		t.Errorf("error %q should name exactly BenchmarkA and BenchmarkC/sub", msg)
+	}
+	var baseline []Result
+	if err := json.Unmarshal([]byte(`[{"name":"BenchmarkX","ns_op":1},{"name":"BenchmarkX","ns_op":2}]`), &baseline); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkUnique(baseline); err == nil || !strings.Contains(err.Error(), "BenchmarkX") {
+		t.Errorf("baseline duplicates: err = %v, want one naming BenchmarkX", err)
+	}
+	if err := checkUnique(got[:2]); err != nil {
+		t.Errorf("unique names rejected: %v", err)
 	}
 }

@@ -125,8 +125,11 @@ func (s *Stub) GetStateByRange(start, end string) ([]statedb.KV, error) {
 	s.trace.Ranges++
 	s.trace.RangeKeys += len(kvs)
 	rq := ledger.RangeQueryInfo{StartKey: start, EndKey: end}
-	for _, kv := range kvs {
-		rq.Reads = append(rq.Reads, ledger.KVRead{Key: kv.Key, Version: kv.Version})
+	if len(kvs) > 0 {
+		rq.Reads = make([]ledger.KVRead, len(kvs))
+		for i, kv := range kvs {
+			rq.Reads[i] = ledger.KVRead{Key: kv.Key, Version: kv.Version}
+		}
 	}
 	s.rwset.RangeQueries = append(s.rwset.RangeQueries, rq)
 	return kvs, nil

@@ -323,11 +323,11 @@ func (c *clientCore) assemble(j *pendingTx, tx *ledger.Transaction, channel int,
 	tx.Endorsements = ends
 	tx.RWSet = ends[0].RWSet
 	// Deduplicate identical rwsets so a transaction holds one copy
-	// (DV endorsements carry 1000-key range observations).
-	first := ends[0].RWSet.Digest()
+	// (DV endorsements carry 1000-key range observations). The
+	// endorsers' signed digests identify them; VSCC rehashes anyway.
 	consistent := true
 	for _, e := range ends[1:] {
-		if e.RWSet.Digest() == first {
+		if e.Digest == ends[0].Digest {
 			e.RWSet = ends[0].RWSet
 		} else {
 			consistent = false

@@ -129,6 +129,7 @@ func (p *Peer) Endorse(inv workload.Invocation, channel int, respond func(*ledge
 				PeerID:    p.name,
 				RWSet:     rw,
 				Signature: p.identity.Sign(digest[:]),
+				Digest:    digest,
 			}
 			cost = costmodel.EndorseCost(p.nw.dbCosts, p.nw.cfg.PeerCosts, stub.Trace())
 		}

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/costmodel"
@@ -107,14 +108,20 @@ func (v *validator) validate(b *ledger.Block) *valResult {
 // vscc checks the endorsement policy (§2 step 6): enough valid
 // signatures from the right orgs, and identical read/write sets across
 // all endorsers (Equation 1 — the paper's endorsement policy failure).
+// Every signature is verified against a digest recomputed from the
+// rwset the endorsement holds, never the digest it carries; endorsements
+// that share one rwset (as assembly leaves them) share that work.
 func (v *validator) vscc(tx *ledger.Transaction) ledger.ValidationCode {
 	if len(tx.Endorsements) == 0 {
 		return ledger.EndorsementPolicyFailure
 	}
 	orgs := map[string]bool{}
 	first := tx.Endorsements[0].RWSet.Digest()
+	hashed, d := tx.Endorsements[0].RWSet, first
 	for _, e := range tx.Endorsements {
-		d := e.RWSet.Digest()
+		if e.RWSet != hashed {
+			hashed, d = e.RWSet, e.RWSet.Digest()
+		}
 		if !v.nw.msp.Verify(e.Org, e.PeerID, d[:], e.Signature) {
 			return ledger.EndorsementPolicyFailure
 		}
@@ -182,12 +189,13 @@ func (v *validator) checkCommitted(r ledger.KVRead) ledger.ValidationCode {
 
 // rangeUnchanged re-executes a range scan against committed state plus
 // the block overlay and compares it with the endorsement-time
-// observation: any inserted, deleted or updated key fails it.
+// observation: any inserted, deleted or updated key fails it. overlay
+// and overlayDel never share a key (validate keeps them disjoint).
 func (v *validator) rangeUnchanged(rq ledger.RangeQueryInfo, overlay map[string]ledger.Height, overlayDel map[string]bool) bool {
 	current := v.db.GetRange(rq.StartKey, rq.EndKey)
-	// Merge the overlay into the committed view.
-	merged := make([]ledger.KVRead, 0, len(current))
-	seen := map[string]bool{}
+	// Walk the committed view with the overlay applied, matching it
+	// against the observation key by key.
+	i := 0
 	for _, kv := range current {
 		if overlayDel[kv.Key] {
 			continue
@@ -196,25 +204,22 @@ func (v *validator) rangeUnchanged(rq ledger.RangeQueryInfo, overlay map[string]
 		if h, ok := overlay[kv.Key]; ok {
 			ver = h
 		}
-		merged = append(merged, ledger.KVRead{Key: kv.Key, Version: ver})
-		seen[kv.Key] = true
-	}
-	// Overlay inserts of keys absent from committed state.
-	inserted := false
-	for key := range overlay {
-		if !seen[key] && key >= rq.StartKey && (rq.EndKey == "" || key < rq.EndKey) {
-			inserted = true
-			break
+		if i == len(rq.Reads) || rq.Reads[i].Key != kv.Key || rq.Reads[i].Version != ver {
+			return false
 		}
+		i++
 	}
-	if inserted {
+	if i != len(rq.Reads) {
 		return false
 	}
-	if len(merged) != len(rq.Reads) {
-		return false
-	}
-	for i, r := range rq.Reads {
-		if merged[i].Key != r.Key || merged[i].Version != r.Version {
+	// An overlay key inside the interval that committed state lacks is
+	// an insert.
+	for key := range overlay {
+		if key < rq.StartKey || (rq.EndKey != "" && key >= rq.EndKey) {
+			continue
+		}
+		j := sort.Search(len(current), func(j int) bool { return current[j].Key >= key })
+		if j == len(current) || current[j].Key != key {
 			return false
 		}
 	}

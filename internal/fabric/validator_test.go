@@ -1,9 +1,13 @@
 package fabric
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/chaincode"
+	"repro/internal/chaincodes/dv"
 	"repro/internal/chaincodes/ehr"
 	"repro/internal/ledger"
 )
@@ -34,6 +38,7 @@ func endorse(nw *Network, rw *ledger.RWSet) []*ledger.Endorsement {
 			PeerID:    p.name,
 			RWSet:     rw,
 			Signature: p.identity.Sign(digest[:]),
+			Digest:    digest,
 		})
 	}
 	return ends
@@ -72,6 +77,47 @@ func TestVSCCRejectsMismatchedRWSets(t *testing.T) {
 	tx.Endorsements[1].Signature = nw.peerOf(nw.orgs[1], 0).identity.Sign(dB[:])
 	if code := nw.vals[0].vscc(tx); code != ledger.EndorsementPolicyFailure {
 		t.Fatalf("vscc = %v, want ENDORSEMENT_POLICY_FAILURE", code)
+	}
+}
+
+// TestVSCCRejectsRWSetMutatedAfterSigning: VSCC verifies signatures
+// against a digest recomputed from the shared rwset, so a change made
+// after signing fails even though every carried digest still matches.
+func TestVSCCRejectsRWSetMutatedAfterSigning(t *testing.T) {
+	nw := harness(t)
+	rw := &ledger.RWSet{Writes: []ledger.KVWrite{{Key: "k", Value: []byte("x")}}}
+	tx := mkTx(nw, "t", rw)
+	rw.Writes[0].Value = []byte("y")
+	for _, e := range tx.Endorsements {
+		if e.RWSet != rw || e.Digest != tx.Endorsements[0].Digest {
+			t.Fatal("endorsements should share the rwset and its carried digest")
+		}
+	}
+	if code := nw.vals[0].vscc(tx); code != ledger.EndorsementPolicyFailure {
+		t.Fatalf("vscc = %v, want ENDORSEMENT_POLICY_FAILURE", code)
+	}
+}
+
+// TestVSCCHashesDistinctRWSets: endorsements holding distinct rwset
+// copies are each rehashed — equal copies pass, and a differing copy
+// fails even when its carried digest claims the first one's.
+func TestVSCCHashesDistinctRWSets(t *testing.T) {
+	nw := harness(t)
+	mk := func(v string) *ledger.RWSet {
+		return &ledger.RWSet{Writes: []ledger.KVWrite{{Key: "k", Value: []byte(v)}}}
+	}
+	tx := mkTx(nw, "t", mk("x"))
+	second := tx.Endorsements[1]
+	second.RWSet = mk("x")
+	if code := nw.vals[0].vscc(tx); code != ledger.Valid {
+		t.Fatalf("equal rwset copies: vscc = %v, want VALID", code)
+	}
+	second.RWSet = mk("z")
+	d := second.RWSet.Digest()
+	second.Signature = nw.peerOf(second.Org, 0).identity.Sign(d[:])
+	second.Digest = tx.Endorsements[0].Digest
+	if code := nw.vals[0].vscc(tx); code != ledger.EndorsementPolicyFailure {
+		t.Fatalf("differing rwset: vscc = %v, want ENDORSEMENT_POLICY_FAILURE", code)
 	}
 }
 
@@ -260,5 +306,39 @@ func TestValidateCostGrowsWithSubPolicies(t *testing.T) {
 	res := nw.vals[0].result(b)
 	if res.validateCost <= 0 {
 		t.Fatal("zero validation cost")
+	}
+}
+
+// BenchmarkValidateDVBlock validates one block of 100 DV transactions
+// (votes scan all 1000 voters) endorsed against genesis state, each
+// iteration on a fresh copy of the validator's replica.
+func BenchmarkValidateDVBlock(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Duration = time.Second
+	cfg.Chaincode = dv.New()
+	cfg.Workload = dv.NewWorkload(0)
+	nw, err := NewNetwork(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	genesis := nw.vals[0].db
+	rng := rand.New(rand.NewSource(1))
+	var txs []*ledger.Transaction
+	for len(txs) < 100 {
+		inv := cfg.Workload.Next(rng)
+		stub := chaincode.NewStub(genesis)
+		if cfg.Chaincode.Invoke(stub, inv.Function, inv.Args) != nil {
+			continue
+		}
+		txs = append(txs, mkTx(nw, fmt.Sprintf("t%d", len(txs)), stub.RWSet()))
+	}
+	blk := mkBlock(nw, 1, txs...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		v := newValidator(nw, genesis.Clone(1))
+		b.StartTimer()
+		v.validate(blk)
 	}
 }

@@ -148,13 +148,17 @@ func (ks *keyState) windowOf(h ledger.Height) (from, to uint64, known bool) {
 	return 0, 0, false
 }
 
+// endorsementsConsistent reports whether every endorsement holds the
+// same rwset. Endorsements sharing the first one's rwset pointer (as
+// client assembly leaves matching responses) share its digest, so
+// only distinct rwsets are hashed.
 func endorsementsConsistent(tx *ledger.Transaction) bool {
 	if len(tx.Endorsements) < 2 {
 		return true
 	}
-	first := tx.Endorsements[0].RWSet.Digest()
+	first := tx.Endorsements[0].RWSet
 	for _, e := range tx.Endorsements[1:] {
-		if e.RWSet.Digest() != first {
+		if e.RWSet != first && e.RWSet.Digest() != first.Digest() {
 			return false
 		}
 	}

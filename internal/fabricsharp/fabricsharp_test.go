@@ -226,3 +226,33 @@ func TestSnapshotConsistencyMonotoneProperty(t *testing.T) {
 		}
 	}
 }
+
+func TestEndorsementsConsistent(t *testing.T) {
+	mk := func(v string) *ledger.RWSet {
+		return &ledger.RWSet{Writes: []ledger.KVWrite{{Key: "k", Value: []byte(v)}}}
+	}
+	tx := func(rws ...*ledger.RWSet) *ledger.Transaction {
+		out := &ledger.Transaction{RWSet: rws[0]}
+		for _, rw := range rws {
+			out.Endorsements = append(out.Endorsements, &ledger.Endorsement{RWSet: rw})
+		}
+		return out
+	}
+	shared := mk("x")
+	cases := []struct {
+		name string
+		tx   *ledger.Transaction
+		want bool
+	}{
+		{"no endorsements", &ledger.Transaction{RWSet: shared}, true},
+		{"one endorsement", tx(shared), true},
+		{"shared rwset", tx(shared, shared, shared), true},
+		{"equal copies", tx(shared, mk("x"), shared), true},
+		{"differing copy", tx(shared, shared, mk("y")), false},
+	}
+	for _, c := range cases {
+		if got := endorsementsConsistent(c.tx); got != c.want {
+			t.Errorf("%s: endorsementsConsistent = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -136,48 +136,85 @@ func (rw *RWSet) DependsOn(other *RWSet) bool {
 	return false
 }
 
+// digestChunk is the size of Digest's stack buffer: the encoding is
+// handed to SHA-256 in chunks of this size rather than one short Write
+// per field. Every call zeroes the buffer, so a larger one slows the
+// digest of small rwsets without speeding up large ones.
+const digestChunk = 512
+
 // Digest returns a stable hash of the rwset, used to compare the
 // responses of different endorsers (endorsement-policy failure check,
 // Equation 1) and as the signed payload.
+//
+// The encoding: the count of reads, then each read's key and version;
+// the count of writes, then each write's key, raw value and delete
+// flag byte; the count of range queries, then each one's bounds, count
+// of reads and reads. A key or bound is its length then its bytes;
+// lengths, counts and version fields are 8 little-endian bytes.
 func (rw *RWSet) Digest() [32]byte {
 	h := sha256.New()
-	var buf [8]byte
-	writeStr := func(s string) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
-		h.Write(buf[:])
-		h.Write([]byte(s))
+	var buf [digestChunk]byte
+	n := 0
+	u64 := func(v uint64) {
+		if n > len(buf)-8 {
+			h.Write(buf[:n])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], v)
+		n += 8
 	}
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	str := func(s string) {
+		u64(uint64(len(s)))
+		for len(s) > 0 {
+			if n == len(buf) {
+				h.Write(buf[:])
+				n = 0
+			}
+			c := copy(buf[n:], s)
+			n += c
+			s = s[c:]
+		}
 	}
-	writeU64(uint64(len(rw.Reads)))
+	raw := func(p []byte) {
+		for len(p) > 0 {
+			if n == len(buf) {
+				h.Write(buf[:])
+				n = 0
+			}
+			c := copy(buf[n:], p)
+			n += c
+			p = p[c:]
+		}
+	}
+	read := func(r KVRead) {
+		str(r.Key)
+		u64(r.Version.BlockNum)
+		u64(r.Version.TxNum)
+	}
+	u64(uint64(len(rw.Reads)))
 	for _, r := range rw.Reads {
-		writeStr(r.Key)
-		writeU64(r.Version.BlockNum)
-		writeU64(r.Version.TxNum)
+		read(r)
 	}
-	writeU64(uint64(len(rw.Writes)))
+	u64(uint64(len(rw.Writes)))
 	for _, w := range rw.Writes {
-		writeStr(w.Key)
-		h.Write(w.Value)
+		str(w.Key)
+		raw(w.Value)
 		if w.IsDelete {
-			h.Write([]byte{1})
+			raw([]byte{1})
 		} else {
-			h.Write([]byte{0})
+			raw([]byte{0})
 		}
 	}
-	writeU64(uint64(len(rw.RangeQueries)))
+	u64(uint64(len(rw.RangeQueries)))
 	for _, rq := range rw.RangeQueries {
-		writeStr(rq.StartKey)
-		writeStr(rq.EndKey)
-		writeU64(uint64(len(rq.Reads)))
+		str(rq.StartKey)
+		str(rq.EndKey)
+		u64(uint64(len(rq.Reads)))
 		for _, r := range rq.Reads {
-			writeStr(r.Key)
-			writeU64(r.Version.BlockNum)
-			writeU64(r.Version.TxNum)
+			read(r)
 		}
 	}
+	h.Write(buf[:n])
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
@@ -257,6 +294,10 @@ type Endorsement struct {
 	PeerID    string
 	RWSet     *RWSet
 	Signature []byte
+	// Digest is the RWSet digest the endorser signed. Clients compare
+	// it to deduplicate responses without rehashing; validation never
+	// trusts it and recomputes the digest from RWSet.
+	Digest [32]byte
 }
 
 // Transaction is an assembled envelope submitted to the ordering

@@ -32,7 +32,8 @@ func (db *couchDB) Get(key string) *VersionedValue {
 	if !ok {
 		return nil
 	}
-	return decodeVV(raw)
+	vv := decodeVV(raw)
+	return &vv
 }
 
 func (db *couchDB) GetRange(start, end string) []KV {

@@ -26,7 +26,8 @@ func (db *levelDB) Get(key string) *VersionedValue {
 	if !ok {
 		return nil
 	}
-	return decodeVV(raw)
+	vv := decodeVV(raw)
+	return &vv
 }
 
 func (db *levelDB) GetRange(start, end string) []KV {

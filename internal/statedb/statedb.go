@@ -113,12 +113,14 @@ func encodeVV(v *VersionedValue) []byte {
 	return out
 }
 
-// decodeVV parses the encoding produced by encodeVV.
-func decodeVV(raw []byte) *VersionedValue {
+// decodeVV parses the encoding produced by encodeVV. It returns the
+// value rather than a pointer so range scans decode each entry without
+// a heap allocation; Value aliases raw.
+func decodeVV(raw []byte) VersionedValue {
 	if len(raw) < 16 {
 		panic(fmt.Sprintf("statedb: corrupt versioned value of %d bytes", len(raw)))
 	}
-	return &VersionedValue{
+	return VersionedValue{
 		Version: ledger.Height{
 			BlockNum: binary.LittleEndian.Uint64(raw[0:8]),
 			TxNum:    binary.LittleEndian.Uint64(raw[8:16]),

@@ -254,3 +254,26 @@ func BenchmarkCouchDBRichQuery(b *testing.B) {
 		db.ExecuteQuery(`{"owner":"o3"}`)
 	}
 }
+
+// benchmarkGetRange scans 1000 voter-sized keys, the range every DV
+// vote reads at endorsement and validation.
+func benchmarkGetRange(b *testing.B, kind Kind) {
+	db := New(kind, 1)
+	batch := &UpdateBatch{}
+	for i := 0; i < 1000; i++ {
+		batch.Put(fmt.Sprintf("voter_%04d", i), []byte(`{"voterId":"1","voted":false}`),
+			ledger.Height{BlockNum: 1, TxNum: uint64(i)})
+	}
+	db.ApplyUpdates(batch, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := len(db.GetRange("voter_", "voter_~")); n != 1000 {
+			b.Fatalf("scanned %d keys, want 1000", n)
+		}
+	}
+}
+
+func BenchmarkCouchDBGetRange1000(b *testing.B) { benchmarkGetRange(b, CouchDB) }
+
+func BenchmarkLevelDBGetRange1000(b *testing.B) { benchmarkGetRange(b, LevelDB) }
