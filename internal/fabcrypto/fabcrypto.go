@@ -5,6 +5,11 @@
 // that are verifiable and bound to an identity, not a particular
 // cipher, so a keyed MAC stands in for X.509/ECDSA (documented
 // substitution in DESIGN.md).
+//
+// Each identity's key is pre-padded at registration: the key⊕ipad and
+// key⊕opad blocks of HMAC are computed once, so signing and verifying
+// run HMAC by its definition over two plain SHA-256 passes, with no
+// per-call keyed state and no allocation on verify.
 package fabcrypto
 
 import (
@@ -15,18 +20,47 @@ import (
 )
 
 // Identity is a signing principal: a peer (or client) belonging to an
-// organization.
+// organization. It holds no mutable state, so one Identity may sign
+// from several goroutines at once.
 type Identity struct {
 	Org string
 	ID  string
-	key []byte
+	// ipad and opad are the HMAC key XOR-ed with the inner and outer
+	// pad bytes, each one SHA-256 block long.
+	ipad, opad [sha256.BlockSize]byte
+}
+
+func newIdentity(org, id string, key []byte) *Identity {
+	ident := &Identity{Org: org, ID: id}
+	// Keys are HMAC-SHA256 outputs, shorter than a block, so HMAC
+	// zero-pads them rather than hashing them first.
+	copy(ident.ipad[:], key)
+	copy(ident.opad[:], key)
+	for i := range ident.ipad {
+		ident.ipad[i] ^= 0x36
+		ident.opad[i] ^= 0x5c
+	}
+	return ident
+}
+
+// mac writes HMAC-SHA256(key, msg) into out:
+// SHA-256(key⊕opad ‖ SHA-256(key⊕ipad ‖ msg)).
+func (id *Identity) mac(out *[sha256.Size]byte, msg []byte) {
+	h := sha256.New()
+	h.Write(id.ipad[:])
+	h.Write(msg)
+	h.Sum(out[:0])
+	h.Reset()
+	h.Write(id.opad[:])
+	h.Write(out[:])
+	h.Sum(out[:0])
 }
 
 // Sign produces a signature over digest.
 func (id *Identity) Sign(digest []byte) []byte {
-	m := hmac.New(sha256.New, id.key)
-	m.Write(digest)
-	return m.Sum(nil)
+	var sum [sha256.Size]byte
+	id.mac(&sum, digest)
+	return append([]byte(nil), sum[:]...)
 }
 
 // MSP is the membership service provider: it registers identities and
@@ -57,7 +91,7 @@ func (m *MSP) Register(org, id string) *Identity {
 	}
 	mac := hmac.New(sha256.New, m.secret)
 	mac.Write([]byte(q))
-	ident := &Identity{Org: org, ID: id, key: mac.Sum(nil)}
+	ident := newIdentity(org, id, mac.Sum(nil))
 	m.identities[q] = ident
 	m.orgs[org] = append(m.orgs[org], id)
 	sort.Strings(m.orgs[org])
@@ -75,7 +109,9 @@ func (m *MSP) Verify(org, id string, digest, sig []byte) bool {
 	if ident == nil {
 		return false
 	}
-	return hmac.Equal(ident.Sign(digest), sig)
+	var sum [sha256.Size]byte
+	ident.mac(&sum, digest)
+	return hmac.Equal(sum[:], sig)
 }
 
 // Orgs lists all registered organizations in sorted order.

@@ -262,7 +262,7 @@ func (c *clientCore) submitLeg(j *pendingTx, channel int) {
 	}
 	c.rotation[j.member]++
 	rot := c.rotation[j.member]
-	endorserOrgs := c.nw.pol.RequiredEndorsers(rot)
+	endorserOrgs := c.nw.endorsers[rot%len(c.nw.endorsers)]
 	peerInOrg := rot % c.nw.cfg.PeersPerOrg
 
 	want := len(endorserOrgs)

@@ -180,10 +180,13 @@ func liveHeapAfterRun(t *testing.T, cfg Config) uint64 {
 
 // TestCohortMemoryFlatness is the scale regression: growing the
 // simulated population 100× (10^3 to 10^5 clients) under cohort
-// drivers must grow the live heap by at most a small pinned factor,
+// drivers must add only a few bytes of live heap per extra member,
 // because per-member state is one rotation counter — everything else
-// is amortized across the cohort. An accidental per-member allocation
-// (map entry, slice, driver object) blows the factor immediately.
+// is amortized across the cohort. The bound is on that growth, not on
+// its ratio to the 10^3-client heap, so shrinking the fixed cost of a
+// run cannot trip it. The measured growth is about 8 B per member; an
+// accidental per-member allocation (map entry, slice, driver object,
+// even one pointer) breaks the 11 B bound immediately.
 func TestCohortMemoryFlatness(t *testing.T) {
 	mk := func(clients int) Config {
 		cfg := testConfig(9)
@@ -195,9 +198,9 @@ func TestCohortMemoryFlatness(t *testing.T) {
 	}
 	h3 := liveHeapAfterRun(t, mk(1_000))
 	h5 := liveHeapAfterRun(t, mk(100_000))
-	const maxFactor = 3.0
-	if factor := float64(h5) / float64(h3); factor > maxFactor {
-		t.Errorf("heap grew %.2f× from 10^3 to 10^5 clients (%.1f MiB -> %.1f MiB), pinned max %.1f×",
-			factor, float64(h3)/(1<<20), float64(h5)/(1<<20), maxFactor)
+	const maxBytesPerMember = 11.0
+	if perMember := (float64(h5) - float64(h3)) / 99_000; perMember > maxBytesPerMember {
+		t.Errorf("heap grew %.1f B per member from 10^3 to 10^5 clients (%.2f MiB -> %.2f MiB), pinned max %.0f B",
+			perMember, float64(h3)/(1<<20), float64(h5)/(1<<20), maxBytesPerMember)
 	}
 }

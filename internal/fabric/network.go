@@ -42,6 +42,9 @@ type Network struct {
 	col      *metrics.Collector
 	// channels is the resolved channel count (>= 1).
 	channels int
+	// endorsers is pol.EndorserTable(): the endorsing orgs for
+	// rotation r are endorsers[r%len(endorsers)].
+	endorsers [][]string
 
 	dbCosts costmodel.DBCosts
 	variant Variant
@@ -142,6 +145,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		nw.orgs = append(nw.orgs, fabcrypto.OrgName(i))
 	}
 	nw.pol = policy.Build(cfg.Policy, nw.orgs)
+	nw.endorsers = nw.pol.EndorserTable()
 
 	// Genesis: run Init once, apply at height 0, clone per replica.
 	genesis := statedb.New(cfg.DBKind, cfg.Seed)

@@ -90,6 +90,41 @@ func (p *Policy) RequiredEndorsers(rotation int) []string {
 	return out
 }
 
+// Period is the length after which RequiredEndorsers repeats: each
+// n-of node's choice depends only on rotation modulo its child count,
+// so the whole tree repeats with the least common multiple of those
+// counts. For the paper's P0–P3 over 2–10 orgs it is at most 20.
+func (p *Policy) Period() int {
+	n := 1
+	if len(p.Children) > 0 {
+		n = len(p.Children)
+	}
+	for _, c := range p.Children {
+		cp := c.Period()
+		n = n / gcd(n, cp) * cp
+	}
+	return n
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// EndorserTable precomputes RequiredEndorsers for one period: for any
+// rotation r >= 0, EndorserTable()[r%Period()] equals
+// RequiredEndorsers(r). Callers share the returned slices and must not
+// modify them.
+func (p *Policy) EndorserTable() [][]string {
+	table := make([][]string, p.Period())
+	for r := range table {
+		table[r] = p.RequiredEndorsers(r)
+	}
+	return table
+}
+
 func (p *Policy) minimalSet(rotation int) map[string]bool {
 	if p.IsLeaf() {
 		return map[string]bool{p.Org: true}

@@ -188,3 +188,67 @@ func TestSatisfactionMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The table is RequiredEndorsers, precomputed: for every paper policy
+// and org count, indexing it with r%Period() gives the computed set.
+func TestEndorserTableMatchesRequiredEndorsers(t *testing.T) {
+	for _, name := range AllNames() {
+		for n := 2; n <= 10; n++ {
+			p := Build(name, orgs(n))
+			period := p.Period()
+			if period < 1 || period > 20 {
+				t.Errorf("%s/%d orgs: Period = %d, want 1..20", name, n, period)
+			}
+			table := p.EndorserTable()
+			if len(table) != period {
+				t.Fatalf("%s/%d orgs: table has %d rows, Period = %d", name, n, len(table), period)
+			}
+			for r := 0; r < 5*period; r++ {
+				if got, want := table[r%period], p.RequiredEndorsers(r); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s/%d orgs rotation %d: table %v, computed %v", name, n, r, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Period is the LCM of every n-of node's child count, nested ones
+// included.
+func TestPeriodNested(t *testing.T) {
+	p := NOf(2,
+		NOf(1, SignedBy("A"), SignedBy("B"), SignedBy("C")),
+		NOf(1, SignedBy("D"), SignedBy("E"), SignedBy("F"), SignedBy("G")),
+	)
+	if got := p.Period(); got != 12 {
+		t.Fatalf("Period = %d, want 12", got)
+	}
+	table := p.EndorserTable()
+	for r := 0; r < 60; r++ {
+		if got, want := table[r%12], p.RequiredEndorsers(r); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("rotation %d: table %v, computed %v", r, got, want)
+		}
+	}
+	if got := SignedBy("A").Period(); got != 1 {
+		t.Errorf("leaf Period = %d, want 1", got)
+	}
+}
+
+var endorsersSink []string
+
+func BenchmarkRequiredEndorsers(b *testing.B) {
+	p := Build(P2, orgs(10))
+	b.Run("computed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			endorsersSink = p.RequiredEndorsers(i)
+		}
+	})
+	b.Run("table", func(b *testing.B) {
+		table := p.EndorserTable()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			endorsersSink = table[i%len(table)]
+		}
+	})
+}

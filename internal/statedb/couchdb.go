@@ -8,20 +8,39 @@ import (
 	"repro/internal/skiplist"
 )
 
-// couchDB is the external JSON document-store backend. Documents are
-// kept decoded alongside the raw value so selector queries do not
-// re-parse on every match; a skip list provides the ordered key index
-// used for range scans.
+// couchDB is the external JSON document-store backend. A skip list
+// provides the ordered key index used for range scans. Documents are
+// decoded lazily: the first selector query to reach a key decodes its
+// value and caches the result until the key is next written, so
+// commits, which vastly outnumber rich queries, never parse JSON.
+// ExecuteQuery therefore writes the cache: like ApplyUpdates, it must
+// not run concurrently with other calls on the same replica.
 type couchDB struct {
 	index     *skiplist.List // key -> encoded VersionedValue
-	docs      map[string]map[string]interface{}
+	docs      map[string]couchDoc
 	savepoint atomic.Uint64
+}
+
+// couchDoc is one cached decode. ok is false when the value is not a
+// JSON object; a JSON null is an object with a nil map.
+type couchDoc struct {
+	fields map[string]interface{}
+	ok     bool
+}
+
+// decodeDoc decodes a stored value for selector matching.
+func decodeDoc(raw []byte) couchDoc {
+	var fields map[string]interface{}
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		return couchDoc{}
+	}
+	return couchDoc{fields: fields, ok: true}
 }
 
 func newCouchDB(seed int64) *couchDB {
 	return &couchDB{
 		index: skiplist.New(seed),
-		docs:  map[string]map[string]interface{}{},
+		docs:  map[string]couchDoc{},
 	}
 }
 
@@ -54,11 +73,12 @@ func (db *couchDB) ExecuteQuery(query string) ([]KV, error) {
 	}
 	var out []KV
 	for it := db.index.Iter(); it.Valid(); it.Next() {
-		doc, ok := db.docs[it.Key()]
-		if !ok {
-			continue
+		doc, cached := db.docs[it.Key()]
+		if !cached {
+			doc = decodeDoc(decodeVV(it.Value()).Value)
+			db.docs[it.Key()] = doc
 		}
-		if sel.MatchesDoc(doc) {
+		if doc.ok && sel.MatchesDoc(doc.fields) {
 			vv := decodeVV(it.Value())
 			out = append(out, KV{Key: it.Key(), Value: vv.Value, Version: vv.Version})
 		}
@@ -68,18 +88,12 @@ func (db *couchDB) ExecuteQuery(query string) ([]KV, error) {
 
 func (db *couchDB) ApplyUpdates(batch *UpdateBatch, height uint64) error {
 	for _, w := range batch.Writes {
+		delete(db.docs, w.Key)
 		if w.IsDelete {
 			db.index.Delete(w.Key)
-			delete(db.docs, w.Key)
 			continue
 		}
 		db.index.Put(w.Key, encodeVV(&VersionedValue{Value: w.Value, Version: w.Version}))
-		var doc map[string]interface{}
-		if err := json.Unmarshal(w.Value, &doc); err == nil {
-			db.docs[w.Key] = doc
-		} else {
-			delete(db.docs, w.Key) // value is not a JSON object
-		}
 	}
 	db.savepoint.Store(height)
 	return nil
@@ -93,7 +107,7 @@ func (db *couchDB) Clone(seed int64) VersionedDB {
 	c := newCouchDB(seed)
 	c.index = db.index.Clone(seed)
 	for k, v := range db.docs {
-		c.docs[k] = v // docs are replaced wholesale on write, never mutated
+		c.docs[k] = v // decoded maps are dropped on write, never mutated
 	}
 	c.savepoint.Store(db.savepoint.Load())
 	return c
