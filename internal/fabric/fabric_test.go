@@ -191,3 +191,25 @@ func TestEndorsementFailuresAppear(t *testing.T) {
 	}
 	t.Logf("report: %v", rep)
 }
+
+// BenchmarkNewNetwork_GenChain times set-up alone for genChain's 100k
+// keys on LevelDB: Init, the genesis commit and the clone of that
+// state into every peer replica and the validator.
+func BenchmarkNewNetwork_GenChain(b *testing.B) {
+	cfg := DefaultConfig()
+	spec := gen.GenChainSpec()
+	cfg.DBKind = statedb.LevelDB
+	cfg.Chaincode = gen.MustChaincode(spec)
+	cfg.Workload = gen.NewWorkload(spec, gen.UpdateHeavy, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw, err := NewNetwork(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		networkSink = nw
+	}
+}
+
+var networkSink *Network

@@ -153,8 +153,9 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err := cfg.Chaincode.Init(stub); err != nil {
 		return nil, fmt.Errorf("fabric: chaincode init: %w", err)
 	}
-	batch := &statedb.UpdateBatch{}
-	for i, w := range stub.RWSet().Writes {
+	writes := stub.RWSet().Writes
+	batch := &statedb.UpdateBatch{Writes: make([]statedb.Write, 0, len(writes))}
+	for i, w := range writes {
 		h := ledger.Height{BlockNum: 0, TxNum: uint64(i)}
 		if w.IsDelete {
 			batch.Delete(w.Key, h)

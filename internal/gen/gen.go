@@ -120,8 +120,18 @@ func GenChainSpec() ChaincodeSpec {
 	}
 }
 
-// KeyName formats a seeded world-state key.
-func KeyName(i int) string { return fmt.Sprintf("key_%06d", i) }
+// KeyName formats a seeded world-state key: "key_" and i zero-padded
+// to six digits, exactly as fmt's "key_%06d" renders it.
+func KeyName(i int) string {
+	if i < 0 {
+		return fmt.Sprintf("key_%06d", i) // only reachable through keyArg
+	}
+	buf := append(make([]byte, 0, len("key_")+20), "key_"...)
+	for p := 100000; p > i && p > 1; p /= 10 {
+		buf = append(buf, '0')
+	}
+	return string(strconv.AppendInt(buf, int64(i), 10))
+}
 
 // insertKeyName formats a fresh key that cannot collide with seeded
 // ones.
@@ -162,9 +172,11 @@ func (c *Chaincode) Spec() ChaincodeSpec { return c.spec }
 
 // Init seeds the world state with spec.Keys JSON documents.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
+	const docPrefix = `{"v":0,"grp":`
 	for i := 0; i < c.spec.Keys; i++ {
-		doc := fmt.Sprintf(`{"v":0,"grp":%d}`, i%97)
-		if err := stub.PutState(KeyName(i), []byte(doc)); err != nil {
+		doc := make([]byte, 0, len(docPrefix)+len("96}"))
+		doc = append(strconv.AppendInt(append(doc, docPrefix...), int64(i%97), 10), '}')
+		if err := stub.PutState(KeyName(i), doc); err != nil {
 			return err
 		}
 	}

@@ -1,11 +1,14 @@
 package gen
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/cctest"
+	"repro/internal/chaincode"
 	"repro/internal/statedb"
 )
 
@@ -43,6 +46,40 @@ func TestInitSeedsKeys(t *testing.T) {
 	}
 	if db.Len() != 500 {
 		t.Fatalf("seeded %d keys, want 500", db.Len())
+	}
+}
+
+func TestKeyNameMatchesFmt(t *testing.T) {
+	for _, i := range []int{0, 9, 10, 99999, 100000, 999999, 1000000, math.MaxInt32, -1, -42} {
+		if got, want := KeyName(i), fmt.Sprintf("key_%06d", i); got != want {
+			t.Errorf("KeyName(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// Init's genesis writes, in order, are the documents fmt used to
+// render: their order fixes each key's genesis version.
+func TestInitWritesMatchFmt(t *testing.T) {
+	stub := chaincode.NewStub(statedb.New(statedb.LevelDB, 1))
+	if err := MustChaincode(GenChainSpec()).Init(stub); err != nil {
+		t.Fatal(err)
+	}
+	writes := stub.RWSet().Writes
+	if len(writes) != DefaultKeys {
+		t.Fatalf("Init wrote %d keys, want %d", len(writes), DefaultKeys)
+	}
+	check := func(i int) {
+		w := writes[i]
+		wantKey, wantDoc := fmt.Sprintf("key_%06d", i), fmt.Sprintf(`{"v":0,"grp":%d}`, i%97)
+		if w.Key != wantKey || string(w.Value) != wantDoc || w.IsDelete {
+			t.Errorf("write %d = %q=%q, want %q=%q", i, w.Key, w.Value, wantKey, wantDoc)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		check(i)
+	}
+	for i := DefaultKeys - 1000; i < DefaultKeys; i++ {
+		check(i)
 	}
 }
 

@@ -8,9 +8,16 @@
 // queries (the source of phantom read conflicts in the paper) map to
 // iterator scans here.
 //
-// The list is not safe for concurrent use; in the discrete-event
-// simulation every peer owns its replica and all events run on one
-// goroutine.
+// Clone builds a replica in O(n) time from the source's sorted order:
+// every peer replica of the genesis world state is a clone, so set-up
+// is linear in the number of keys. A clone keeps all its nodes in one slab and all its
+// towers in another; memory a Delete on the clone frees is held until
+// the whole clone is unreachable.
+//
+// The list is not safe for concurrent use, except that several
+// goroutines may Clone one list that nobody modifies meanwhile; in the
+// discrete-event simulation every peer owns its replica and all events
+// run on one goroutine.
 package skiplist
 
 import "math/rand"
@@ -186,11 +193,48 @@ func (l *List) Keys() []string {
 }
 
 // Clone returns a deep copy of the list structure (values are shared,
-// which is safe because values are treated as immutable).
+// which is safe because values are treated as immutable). It only
+// reads l, so several goroutines may clone one source at once.
+//
+// Clone runs in O(n) and compares no keys: one walk of l's ascending
+// level-0 chain, then one pass appending each node to every level of
+// its tower. It draws one tower height per key, in key order, from
+// New(seed)'s rng, so the clone's towers, height and rng state equal
+// those of New(seed) followed by a Put of every key in ascending
+// order. All nodes share one slab and all towers another: a node a
+// later Delete unlinks from the clone stays allocated until the whole
+// clone is unreachable.
 func (l *List) Clone(seed int64) *List {
 	c := New(seed)
-	for it := l.Iter(); it.Valid(); it.Next() {
-		c.Put(it.Key(), it.Value())
+	nodes := make([]node, l.length)
+	heights := make([]uint8, l.length)
+	total := 0
+	i := 0
+	for x := l.head.next[0]; x != nil; x = x.next[0] {
+		h := c.randomHeight()
+		nodes[i].key, nodes[i].value = x.key, x.value
+		heights[i] = uint8(h)
+		total += h
+		if h > c.height {
+			c.height = h
+		}
+		i++
 	}
+	ptrs := make([]*node, total)
+	var last [maxHeight]*node
+	for level := range last {
+		last[level] = c.head
+	}
+	off := 0
+	for i := range nodes {
+		n, h := &nodes[i], int(heights[i])
+		n.next = ptrs[off : off+h : off+h]
+		off += h
+		for level := 0; level < h; level++ {
+			last[level].next[level] = n
+			last[level] = n
+		}
+	}
+	c.length = l.length
 	return c
 }

@@ -1,9 +1,11 @@
 package skiplist
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -116,6 +118,138 @@ func TestCloneIsIndependent(t *testing.T) {
 	if l.Has("b") {
 		t.Fatal("original gained entries from clone")
 	}
+}
+
+// putBuild is the reference replica Clone must reproduce: New(seed)
+// followed by a Put of every key of src in ascending order.
+func putBuild(src *List, seed int64) *List {
+	l := New(seed)
+	for it := src.Iter(); it.Valid(); it.Next() {
+		l.Put(it.Key(), it.Value())
+	}
+	return l
+}
+
+// sameShape reports how got differs from want in keys, values, the
+// tower height of each node, the chain on every level and the list
+// height, or "" when it does not.
+func sameShape(got, want *List) string {
+	if got.Len() != want.Len() || got.height != want.height {
+		return fmt.Sprintf("len/height %d/%d, want %d/%d",
+			got.Len(), got.height, want.Len(), want.height)
+	}
+	for level := 0; level < maxHeight; level++ {
+		g, w := got.head.next[level], want.head.next[level]
+		for i := 0; g != nil || w != nil; i++ {
+			switch {
+			case g == nil || w == nil:
+				return fmt.Sprintf("level %d: chains end at different nodes (index %d)", level, i)
+			case g.key != w.key || !bytes.Equal(g.value, w.value):
+				return fmt.Sprintf("level %d: node %d is %q=%q, want %q=%q",
+					level, i, g.key, g.value, w.key, w.value)
+			case len(g.next) != len(w.next):
+				return fmt.Sprintf("node %q has tower %d, want %d", g.key, len(g.next), len(w.next))
+			}
+			g, w = g.next[level], w.next[level]
+		}
+	}
+	return ""
+}
+
+// randomList builds a list of up to n random keys in random order,
+// then deletes about a fifth of them.
+func randomList(rng *rand.Rand, n int) *List {
+	l := New(rng.Int63())
+	var keys []string
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("k%07d", rng.Intn(4*n+1))
+		keys = append(keys, k)
+		l.Put(k, []byte(fmt.Sprint(i)))
+	}
+	for _, k := range keys {
+		if rng.Intn(5) == 0 {
+			l.Delete(k)
+		}
+	}
+	return l
+}
+
+// mutate applies the same rng-driven Put/Delete sequence to every list.
+func mutate(seed int64, n int, ls ...*List) {
+	for _, l := range ls {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("k%07d", rng.Intn(4*n+1))
+			if rng.Intn(3) == 0 {
+				l.Delete(k)
+			} else {
+				l.Put(k, []byte{byte(i)})
+			}
+		}
+	}
+}
+
+// Clone's bulk build must give exactly the towers, height and rng
+// state of an ascending Put build: replicas' later Puts then draw the
+// same heights as before.
+func TestCloneMatchesPutBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 17, 300, 1000, 5000} {
+		src := randomList(rng, n)
+		srcKeys := src.Keys()
+		seed := rng.Int63()
+		c, ref := src.Clone(seed), putBuild(src, seed)
+		if d := sameShape(c, ref); d != "" {
+			t.Fatalf("n=%d: clone: %s", n, d)
+		}
+		cc, ccRef := c.Clone(seed+1), putBuild(c, seed+1)
+		if d := sameShape(cc, ccRef); d != "" {
+			t.Fatalf("n=%d: clone of clone: %s", n, d)
+		}
+		mutate(int64(n), n+50, c, ref, cc, ccRef)
+		if d := sameShape(c, ref); d != "" {
+			t.Fatalf("n=%d: clone after puts/deletes: %s", n, d)
+		}
+		if d := sameShape(cc, ccRef); d != "" {
+			t.Fatalf("n=%d: clone of clone after puts/deletes: %s", n, d)
+		}
+		if got := src.Keys(); fmt.Sprint(got) != fmt.Sprint(srcKeys) {
+			t.Fatalf("n=%d: cloning or mutating clones changed the source", n)
+		}
+	}
+}
+
+// Clone allocates a fixed number of slabs, however many keys it copies.
+func TestCloneAllocations(t *testing.T) {
+	allocs := func(n int) float64 {
+		src := New(1)
+		for i := 0; i < n; i++ {
+			src.Put(fmt.Sprintf("key_%06d", i), nil)
+		}
+		return testing.AllocsPerRun(3, func() { src.Clone(2) })
+	}
+	small, large := allocs(1000), allocs(100000)
+	if small != large || large > 10 {
+		t.Fatalf("Clone allocs = %v at 1k keys, %v at 100k; want the same small constant", small, large)
+	}
+}
+
+// Several goroutines may clone one source at once; under -race this
+// fails if Clone ever writes its source.
+func TestCloneConcurrent(t *testing.T) {
+	src := randomList(rand.New(rand.NewSource(3)), 2000)
+	ref := putBuild(src, 11)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if d := sameShape(src.Clone(11), ref); d != "" {
+				t.Errorf("concurrent clone: %s", d)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Property: the skip list agrees with a reference map under a random
@@ -237,3 +371,17 @@ func BenchmarkGet(b *testing.B) {
 		l.Get(keys[i%1024])
 	}
 }
+
+func BenchmarkClone100k(b *testing.B) {
+	src := New(1)
+	for i := 0; i < 100000; i++ {
+		src.Put(fmt.Sprintf("key_%06d", i), []byte(`{"v":0}`))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cloneSink = src.Clone(int64(i))
+	}
+}
+
+var cloneSink *List

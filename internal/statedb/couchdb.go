@@ -104,8 +104,7 @@ func (db *couchDB) Savepoint() uint64 { return db.savepoint.Load() }
 func (db *couchDB) Len() int { return db.index.Len() }
 
 func (db *couchDB) Clone(seed int64) VersionedDB {
-	c := newCouchDB(seed)
-	c.index = db.index.Clone(seed)
+	c := &couchDB{index: db.index.Clone(seed), docs: make(map[string]couchDoc, len(db.docs))}
 	for k, v := range db.docs {
 		c.docs[k] = v // decoded maps are dropped on write, never mutated
 	}

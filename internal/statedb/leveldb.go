@@ -63,8 +63,7 @@ func (db *levelDB) Savepoint() uint64 { return db.savepoint.Load() }
 func (db *levelDB) Len() int { return db.mem.Len() }
 
 func (db *levelDB) Clone(seed int64) VersionedDB {
-	c := newLevelDB(seed)
-	c.mem = db.mem.Clone(seed)
+	c := &levelDB{mem: db.mem.Clone(seed)}
 	c.savepoint.Store(db.savepoint.Load())
 	return c
 }
