@@ -90,7 +90,7 @@ func main() {
 		inflight   = flag.Int("inflight", 1, "ad-hoc run: closed-loop in-flight window per client")
 		think      = flag.String("think", "none", "ad-hoc run: closed-loop think time none|fixed:<dur>|exp:<dur>|lognormal:<dur>[:sigma]")
 		clients    = flag.Int("clients", 0, "ad-hoc run: simulated client population (0 = cluster default)")
-		cohort     = flag.Int("cohort", 0, "ad-hoc run: clients per cohort driver (0/1 = exact per-client simulation)")
+		cohort     = flag.Int("cohort", 0, "ad-hoc run: clients per cohort driver (0/1 = one driver per client)")
 		channels   = flag.Int("channels", 1, "ad-hoc run: channel count; each channel gets its own orderer and ledger")
 		crossCh    = flag.Float64("crosschannel", 0, "ad-hoc run: fraction of transactions spanning two channels (needs -channels >= 2)")
 		faults     = flag.String("faults", "", "ad-hoc run: fault schedule off|crash|partition|flaky|straggler|slowdb|chaos or 'kind[:target]@start+dur[:param][,...]' with etimeout=/stimeout= clauses (empty = off)")

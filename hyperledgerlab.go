@@ -72,7 +72,7 @@
 // bucket, pacer and gossip state across the cohort while keeping
 // per-member identity (transaction ids, rotation counters) exact.
 // With a stateless retry policy and no shared-state subsystems a
-// cohorted closed-loop run is byte-identical to the exact simulation
+// cohorted closed-loop run is byte-identical to one driver per client
 // — the equivalence is locked by a golden test — and memory stays
 // within a constant factor as the population grows four orders of
 // magnitude. Config.Channels shards the deployment the way production
@@ -262,10 +262,6 @@ type (
 	ThinkTime = fabric.ThinkTime
 	// ThinkTimeKind selects the think-time distribution.
 	ThinkTimeKind = fabric.ThinkTimeKind
-	// ClientDriver is the common surface of the exact per-client
-	// simulation and the cohort drivers selected by Config.CohortSize
-	// (see Network.Drivers).
-	ClientDriver = fabric.ClientDriver
 )
 
 // Fault-injection subsystem (Config.Faults).

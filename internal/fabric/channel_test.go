@@ -184,7 +184,12 @@ func (testVariant) Name() string { return "test-variant" }
 // TestValidateScaleKnobs table-tests Config.Validate over the scale
 // knobs added with cohorts and sharding: channel count, cohort size
 // and cross-channel fraction, including the unit-bearing messages and
-// the single-channel-only restriction on stateful variants.
+// the single-channel-only restriction on stateful variants. It also
+// covers the load and speed knobs whose NaN or infinite values would
+// otherwise pass: an arrival rate (or rate-schedule phase) that is not
+// positive and finite makes the open-loop arrival process re-fire at
+// one virtual instant forever, and a NaN speed factor turns every
+// scaled per-block cost into Duration(NaN).
 func TestValidateScaleKnobs(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -220,6 +225,24 @@ func TestValidateScaleKnobs(t *testing.T) {
 			c.Channels = 4
 			c.Variant = testVariant{}
 		}, "supports only the vanilla fabric-1.4 variant"},
+		{"rate NaN", func(c *Config) { c.Rate = math.NaN() },
+			"arrival rate must be positive and finite, got Rate NaN"},
+		{"rate +Inf", func(c *Config) { c.Rate = math.Inf(1) },
+			"arrival rate must be positive and finite, got Rate +Inf"},
+		{"rate phase zero", func(c *Config) { c.RateSchedule = []RatePhase{{Duration: time.Second, Rate: 0}} },
+			"RateSchedule phase 0 rate must be positive and finite, got 0"},
+		{"rate phase negative", func(c *Config) {
+			c.RateSchedule = []RatePhase{{Duration: time.Second, Rate: 10}, {Duration: time.Second, Rate: -5}}
+		}, "RateSchedule phase 1 rate must be positive and finite, got -5"},
+		{"rate phase NaN", func(c *Config) { c.RateSchedule = []RatePhase{{Duration: time.Second, Rate: math.NaN()}} },
+			"RateSchedule phase 0 rate must be positive and finite, got NaN"},
+		{"rate phase +Inf", func(c *Config) { c.RateSchedule = []RatePhase{{Duration: time.Second, Rate: math.Inf(1)}} },
+			"RateSchedule phase 0 rate must be positive and finite, got +Inf"},
+		{"rate schedule valid", func(c *Config) {
+			c.RateSchedule = []RatePhase{{Duration: time.Second, Rate: 10}, {Duration: time.Second, Rate: 150}}
+		}, ""},
+		{"speed factor NaN", func(c *Config) { c.SpeedFactor = math.NaN() },
+			"speed factor must be positive, got SpeedFactor NaN"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

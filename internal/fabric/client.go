@@ -1,96 +1,12 @@
 package fabric
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/ledger"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// clientCore is the client-behavior machinery shared by every
-// ClientDriver implementation: the exact per-client Client and the
-// Cohort that drives many statistically identical clients from one
-// state object. It owns the submission pipeline (draw invocation,
-// collect endorsements, assemble, order), the pending-transaction
-// table, and the whole coordination stack — retry policy, budget
-// bucket, backpressure pacing, gossip estimate. The only thing a
-// driver adds on top is its arrival process (start).
-//
-// The core drives `members` simulated clients starting at global
-// client index firstID. Per-member state is deliberately tiny — one
-// endorser-rotation counter — so a driver's memory cost is amortized
-// across its members; everything heavy (pending map, policy, bucket,
-// gossip window) is shared. With members == 1 the behaviour is the
-// historical per-client simulation, bit for bit.
-type clientCore struct {
-	nw *Network
-	// index is the driver's position in the network's driver list
-	// (gossip peer sampling); firstID is the global index of the first
-	// simulated client this driver speaks for.
-	index   int
-	firstID int
-	members int
-	name    string
-
-	// rotation holds one endorser/orderer rotation counter per driven
-	// member — the only per-member state, a few bytes per simulated
-	// client.
-	rotation []int
-
-	// pending maps an in-flight attempt's transaction id (one per leg
-	// for cross-channel transactions) to its logical transaction, for
-	// commit-event correlation. Only populated when the network tracks
-	// outcomes.
-	pending map[string]*pendingTx
-
-	// policy is this driver's retry policy instance. Stateful policies
-	// (AdaptivePolicy) get one instance per driver — a cohort's members
-	// share one controller, the mean-field approximation — while
-	// stateless ones are shared with the network.
-	policy RetryPolicy
-	// observer/reporter are the optional adaptive facets of policy,
-	// resolved once at construction. classObs is the split-mode variant
-	// of observer: outcomes arrive classified per SignalClass instead
-	// of as a scalar failed bit. When the split is on and the policy
-	// supports it, classObs supersedes observer.
-	observer outcomeObserver
-	classObs classObserver
-	reporter backoffReporter
-	// bucket is the retry budget (nil = unlimited). A cohort shares
-	// one bucket across its members with refill rate and burst scaled
-	// by member count, so the aggregate retry allowance matches the
-	// exact simulation.
-	bucket *tokenBucket
-
-	// pacer is the resolved backpressure config when the run both
-	// enables the orderer's congestion signal and tracks outcomes (the
-	// hint arrives on outcome events); nil otherwise. hints holds the
-	// latest congestion hint observed per channel on this driver's
-	// event stream — each channel's ordering service computes its own —
-	// and hintObs is the optional hint-consuming facet of the policy.
-	pacer   *Backpressure
-	hints   []float64
-	hintObs hintObserver
-
-	// gossip is this driver's view of the client-to-client congestion
-	// signal (nil without Config.Gossip or outcome tracking), and
-	// hintSrc selects which producer — orderer hint, gossip estimate,
-	// or their max — feeds pacing and the hint-consuming policies. A
-	// cohort is one gossip participant: its members pool their outcome
-	// window and estimate.
-	gossip  *gossipState
-	hintSrc HintSource
-
-	// split is the resolved split-signal mode (nil = scalar): outcome
-	// classification per SignalClass, a two-component gossip estimate,
-	// and conflict→backoff / congestion→pacing signal routing.
-	split *SplitSignal
-
-	// resubmissions counts retry submissions issued (diagnostics).
-	resubmissions int
-}
 
 // pendingTx is one logical transaction tracked across resubmissions:
 // the client retries the same invocation until it commits or the
@@ -115,85 +31,10 @@ type pendingTx struct {
 	failCode  ledger.ValidationCode
 }
 
-// init wires the shared machinery; each driver type calls it from its
-// constructor.
-func (c *clientCore) init(nw *Network, index, firstID, members int, name string) {
-	c.nw = nw
-	c.index = index
-	c.firstID = firstID
-	c.members = members
-	c.name = name
-	c.rotation = make([]int, members)
-	c.pending = map[string]*pendingTx{}
-	c.hints = make([]float64, nw.channels)
-	c.policy = nw.retry
-	if pc, ok := c.policy.(perClientPolicy); ok {
-		c.policy = pc.perClient()
-	}
-	// The observer/trajectory facets may sit behind wrappers
-	// (GiveUpAfter): unwrap to find them.
-	base := c.policy
-	for {
-		u, ok := base.(interface{ unwrap() RetryPolicy })
-		if !ok {
-			break
-		}
-		base = u.unwrap()
-	}
-	c.observer, _ = base.(outcomeObserver)
-	c.reporter, _ = base.(backoffReporter)
-	c.split = nw.split
-	if c.split != nil {
-		if sa, ok := base.(splitAware); ok {
-			sa.enableSplit()
-			c.classObs, _ = base.(classObserver)
-		}
-	}
-	if nw.tracking && nw.cfg.RetryBudget != nil {
-		b := *nw.cfg.RetryBudget
-		if members > 1 {
-			// One bucket serves the whole cohort: scale the refill
-			// stream and capacity so the aggregate retry allowance
-			// equals members independent per-client buckets.
-			b = b.withDefaults()
-			b.RefillPerSec *= float64(members)
-			b.Burst *= float64(members)
-			if b.MaxRefillPerSec > 0 {
-				b.MaxRefillPerSec *= float64(members)
-			}
-		}
-		c.bucket = newTokenBucket(b)
-	}
-	c.hintSrc = nw.hintSrc
-	if nw.tracking && nw.bp != nil {
-		c.pacer = nw.bp
-	}
-	if nw.gossip != nil {
-		c.gossip = newGossipState(*nw.gossip, c.split != nil)
-	}
-	if c.pacer != nil || c.gossip != nil {
-		c.hintObs, _ = base.(hintObserver)
-	}
-}
-
-// Name returns the driver's network node name.
-func (c *clientCore) Name() string { return c.name }
-
-// Members reports how many simulated clients this driver drives.
-func (c *clientCore) Members() int { return c.members }
-
-// Resubmissions reports how many retry submissions this driver issued.
-func (c *clientCore) Resubmissions() int { return c.resubmissions }
-
-// Pending reports how many of this driver's attempts are still
-// awaiting an outcome event (diagnostics; in-flight work at the end
-// of a run).
-func (c *clientCore) Pending() int { return len(c.pending) }
-
 // openWindow submits the initial closed-loop window for every driven
-// member, in member order — exactly the submission order the exact
-// simulation produces when its clients start in sequence.
-func (c *clientCore) openWindow() {
+// member, in member order — exactly the submission order one-member
+// drivers produce when they start in sequence.
+func (c *Cohort) openWindow() {
 	window := c.nw.cfg.InFlightPerClient
 	if window < 1 {
 		window = 1
@@ -209,7 +50,7 @@ func (c *clientCore) openWindow() {
 // its home channel, decides whether it spans a second channel
 // (Config.CrossChannel), and submits its first attempt on behalf of
 // the given member.
-func (c *clientCore) submitJob(member int) {
+func (c *Cohort) submitJob(member int) {
 	j := &pendingTx{
 		inv:         c.nw.cfg.Workload.Next(c.nw.eng.Rand()),
 		firstSubmit: c.nw.eng.Now(),
@@ -235,7 +76,7 @@ func (c *clientCore) submitJob(member int) {
 // replay the same invocation under fresh transaction ids (a retried
 // Fabric transaction is a new proposal: new endorsements, new read set
 // against current state).
-func (c *clientCore) submitAttempt(j *pendingTx) {
+func (c *Cohort) submitAttempt(j *pendingTx) {
 	j.attempts++
 	j.lastSubmit = c.nw.eng.Now()
 	j.legsLeft = j.legs
@@ -248,7 +89,7 @@ func (c *clientCore) submitAttempt(j *pendingTx) {
 // submitLeg submits one channel's proposal of the current attempt:
 // collect endorsements from a policy-satisfying set of peers against
 // the leg channel's replicas, then assemble and order on that channel.
-func (c *clientCore) submitLeg(j *pendingTx, channel int) {
+func (c *Cohort) submitLeg(j *pendingTx, channel int) {
 	inv := j.inv
 	tx := &ledger.Transaction{
 		ID:         c.nw.nextTxID(c.firstID + j.member),
@@ -318,7 +159,7 @@ func (c *clientCore) submitLeg(j *pendingTx, channel int) {
 
 // assemble builds the envelope from the collected endorsements and
 // sends it to an orderer node of the leg's channel (§2 step 3).
-func (c *clientCore) assemble(j *pendingTx, tx *ledger.Transaction, channel int, ends []*ledger.Endorsement) {
+func (c *Cohort) assemble(j *pendingTx, tx *ledger.Transaction, channel int, ends []*ledger.Endorsement) {
 	tx.EndorseTime = c.nw.eng.Now()
 	tx.Endorsements = ends
 	tx.RWSet = ends[0].RWSet
@@ -374,7 +215,7 @@ func (c *clientCore) assemble(j *pendingTx, tx *ledger.Transaction, channel int,
 // refresh the channel's congestion hint — the orderer's signal is
 // fresh regardless of which attempt carried it — but are otherwise
 // ignored (the attempt was already resolved locally).
-func (c *clientCore) onOutcome(txID string, code ledger.ValidationCode, hint float64, channel int) {
+func (c *Cohort) onOutcome(txID string, code ledger.ValidationCode, hint float64, channel int) {
 	if c.pacer != nil && c.hintSrc.usesOrderer() {
 		c.hints[channel] = hint
 		// In split mode the orderer's hint is pure congestion evidence:
@@ -404,7 +245,7 @@ func (c *clientCore) onOutcome(txID string, code ledger.ValidationCode, hint flo
 // immediately; a cross-channel attempt waits for both legs and fails
 // with the first leg failure (both commits are required). It is a
 // no-op unless the run tracks outcomes.
-func (c *clientCore) legDone(j *pendingTx, txID string, code ledger.ValidationCode) {
+func (c *Cohort) legDone(j *pendingTx, txID string, code ledger.ValidationCode) {
 	if !c.nw.tracking {
 		return
 	}
@@ -427,7 +268,7 @@ func (c *clientCore) legDone(j *pendingTx, txID string, code ledger.ValidationCo
 // attemptResolved finishes a logical transaction successfully: every
 // leg of the attempt committed as valid (or was served directly as a
 // read).
-func (c *clientCore) attemptResolved(j *pendingTx) {
+func (c *Cohort) attemptResolved(j *pendingTx) {
 	c.nw.col.RecordAttempt(j.attempts, ledger.Valid)
 	c.observe(ledger.Valid)
 	c.gossipObserve(ledger.Valid, j)
@@ -445,7 +286,7 @@ func (c *clientCore) attemptResolved(j *pendingTx) {
 // recorded only to the extent the pause actually moved the schedule:
 // a dropped retry never waited, and a token wait that covers the
 // paced backoff (in part or in full) absorbs that much of the pause.
-func (c *clientCore) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
+func (c *Cohort) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 	c.nw.col.RecordAttempt(j.attempts, code)
 	c.observe(code)
 	c.gossipObserve(code, j)
@@ -524,7 +365,7 @@ func (c *clientCore) attemptFailed(j *pendingTx, code ledger.ValidationCode) {
 // producer reports no congestion, so the default configuration never
 // alters scheduling. In split mode only the congestion component
 // paces — a conflict storm no longer throttles fresh load.
-func (c *clientCore) pacePause() time.Duration {
+func (c *Cohort) pacePause() time.Duration {
 	if c.pacer == nil {
 		return 0
 	}
@@ -540,7 +381,7 @@ func (c *clientCore) pacePause() time.Duration {
 // this driver's event stream, the live (decayed) gossip estimate, or
 // their max. Each consultation of a gossip estimate records the age
 // of the information behind it — the staleness-at-use metric.
-func (c *clientCore) currentHint() float64 {
+func (c *Cohort) currentHint() float64 {
 	var h float64
 	if c.hintSrc.usesOrderer() {
 		for _, ch := range c.hints {
@@ -565,7 +406,7 @@ func (c *clientCore) currentHint() float64 {
 // of the per-channel orderer hints and the gossiped congestion
 // component, per HintSource). Consultations of the gossip estimate
 // record staleness-at-use exactly like the scalar path.
-func (c *clientCore) currentSignals() (conflict, congestion float64) {
+func (c *Cohort) currentSignals() (conflict, congestion float64) {
 	if c.hintSrc.usesOrderer() {
 		for _, ch := range c.hints {
 			if ch > congestion {
@@ -588,7 +429,7 @@ func (c *clientCore) currentSignals() (conflict, congestion float64) {
 // (no-op without Config.Gossip). In split mode the outcome lands in
 // the per-class windows, with the attempt's submit→resolution latency
 // checked against the CongestLatency threshold as congestion evidence.
-func (c *clientCore) gossipObserve(code ledger.ValidationCode, j *pendingTx) {
+func (c *Cohort) gossipObserve(code ledger.ValidationCode, j *pendingTx) {
 	if c.gossip == nil {
 		return
 	}
@@ -608,7 +449,7 @@ func (c *clientCore) gossipObserve(code ledger.ValidationCode, j *pendingTx) {
 // for the whole simulation (retries continue through the drain, so
 // the signal must too); the engine simply stops executing them at the
 // deadline.
-func (c *clientCore) startGossip() {
+func (c *Cohort) startGossip() {
 	period := c.gossip.cfg.Period
 	if period <= 0 || len(c.nw.drivers) < 2 {
 		return
@@ -624,10 +465,10 @@ func (c *clientCore) startGossip() {
 // gossipRound sends the driver's current estimate to Fanout sampled
 // peer drivers. Peer sampling draws from the simulation rng, so rounds
 // are deterministic per (config, seed) like every other random
-// decision. In cohort mode each cohort is one gossip node — its
-// members share the estimate they spread — so the mesh size is the
-// driver count, not the simulated client count.
-func (c *clientCore) gossipRound() {
+// decision. Each driver is one gossip node — its members share the
+// estimate they spread — so the mesh size is the driver count, not
+// the simulated client count.
+func (c *Cohort) gossipRound() {
 	now := c.nw.eng.Now()
 	var est float64
 	var se SplitEstimate
@@ -657,9 +498,9 @@ func (c *clientCore) gossipRound() {
 		peer := c.nw.drivers[p]
 		c.nw.col.RecordGossipMessage()
 		if c.split != nil {
-			c.nw.net.Send(c.name, peer.Name(), func() { peer.onGossipSplit(se, now) })
+			c.nw.net.Send(c.name, peer.name, func() { peer.onGossipSplit(se, now) })
 		} else {
-			c.nw.net.Send(c.name, peer.Name(), func() { peer.onGossip(est, now) })
+			c.nw.net.Send(c.name, peer.name, func() { peer.onGossip(est, now) })
 		}
 	}
 }
@@ -668,7 +509,7 @@ func (c *clientCore) gossipRound() {
 // sender's sentAt) and merges it by max-with-decay. Merges only update
 // this driver's view; the hint-consuming policies read it lazily at
 // their next backoff decision, and the pacer at its next pause.
-func (c *clientCore) onGossip(value float64, sentAt sim.Time) {
+func (c *Cohort) onGossip(value float64, sentAt sim.Time) {
 	if c.gossip == nil {
 		return
 	}
@@ -679,7 +520,7 @@ func (c *clientCore) onGossip(value float64, sentAt sim.Time) {
 
 // onGossipSplit receives one peer driver's two-component estimate
 // (split mode) and merges it component-wise by max-with-decay.
-func (c *clientCore) onGossipSplit(e SplitEstimate, sentAt sim.Time) {
+func (c *Cohort) onGossipSplit(e SplitEstimate, sentAt sim.Time) {
 	if c.gossip == nil || !c.gossip.split {
 		return
 	}
@@ -693,7 +534,7 @@ func (c *clientCore) onGossipSplit(e SplitEstimate, sentAt sim.Time) {
 // rng-neutral) for stateless policies. In split mode the outcome
 // arrives classified per SignalClass when the policy supports it, so
 // the controller can gate its increase on conflict-class failures.
-func (c *clientCore) observe(code ledger.ValidationCode) {
+func (c *Cohort) observe(code ledger.ValidationCode) {
 	fed := false
 	if c.classObs != nil {
 		c.classObs.observeClass(ClassifyOutcome(code))
@@ -714,7 +555,7 @@ func (c *clientCore) observe(code ledger.ValidationCode) {
 // load, not just retries. With no think time and no pacing the next
 // job starts synchronously — the historical behaviour, with no extra
 // events and no extra rng draws.
-func (c *clientCore) jobDone(member int) {
+func (c *Cohort) jobDone(member int) {
 	if !c.nw.cfg.ClosedLoop || c.nw.eng.Now() >= sim.Time(c.nw.cfg.Duration) {
 		return
 	}
@@ -733,65 +574,4 @@ func (c *clientCore) jobDone(member int) {
 			c.submitJob(member)
 		}
 	})
-}
-
-// Client is one Caliper-style load generator process (§4.2: 5 on C1,
-// 25 on C2): the exact simulation, one driver object per simulated
-// client. It draws invocations from the workload, runs the execution
-// phase (collect endorsements from a policy-satisfying set of peers),
-// assembles the envelope and submits it to an orderer node.
-//
-// Two arrival modes exist. Open loop (the paper's §4.5 setup):
-// Poisson arrivals at rate/clients tps, and — unless a RetryPolicy is
-// configured — failed transactions are never resent. Closed loop:
-// the client keeps Config.InFlightPerClient logical transactions
-// outstanding and submits the next as soon as one resolves.
-//
-// When the run needs outcome tracking (a retry policy or closed-loop
-// mode), the client registers every submission in its pending table
-// and listens for commit events delivered over the network by the
-// metrics peer (and for early-abort events from the ordering
-// service), exactly like a Fabric SDK client subscribed to a peer's
-// block events. A failed attempt is resubmitted — re-endorsed from
-// scratch with a fresh transaction id, same invocation — per the
-// retry policy's backoff schedule.
-//
-// For sweeps where client count is a parameter rather than a cast of
-// characters, see Cohort — the driver that amortizes one state object
-// across many clients.
-type Client struct {
-	clientCore
-}
-
-func newClient(nw *Network, id int) *Client {
-	c := &Client{}
-	c.init(nw, id, id, 1, fmt.Sprintf("client%d", id))
-	return c
-}
-
-// start schedules the arrival process for the send window. Open loop:
-// Poisson arrivals whose mean inter-arrival time tracks the (possibly
-// time-varying) configured rate. Closed loop: the initial in-flight
-// window is opened and each resolved transaction triggers the next.
-func (c *Client) start() {
-	if c.gossip != nil {
-		c.startGossip()
-	}
-	if c.nw.cfg.ClosedLoop {
-		c.openWindow()
-		return
-	}
-	mean := func() time.Duration {
-		rate := c.nw.cfg.RateAt(time.Duration(c.nw.eng.Now()))
-		return time.Duration(float64(time.Second) * float64(c.nw.cfg.Clients) / rate)
-	}
-	var arrive func()
-	arrive = func() {
-		if c.nw.eng.Now() >= sim.Time(c.nw.cfg.Duration) {
-			return // send window over
-		}
-		c.submitJob(0)
-		c.nw.eng.After(c.nw.eng.Exponential(mean()), arrive)
-	}
-	c.nw.eng.After(c.nw.eng.Exponential(mean()), arrive)
 }

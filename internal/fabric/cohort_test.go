@@ -51,8 +51,8 @@ func fingerprint(nw *Network, rep metrics.Report) string {
 // cohortEquivConfig is the locked equivalence regime: a closed-loop
 // EHR run with a stateless backoff policy and none of the shared-state
 // subsystems (budget, gossip, backpressure, adaptive policy), the
-// conditions under which cohort drivers make exactly the decisions the
-// exact simulation makes.
+// conditions under which cohort drivers make exactly the decisions
+// one-member drivers make.
 func cohortEquivConfig(seed int64, cohortSize int) Config {
 	cfg := testConfig(seed)
 	cfg.Clients = 6
@@ -70,12 +70,12 @@ func cohortEquivConfig(seed int64, cohortSize int) Config {
 	return cfg
 }
 
-// TestCohortExactEquivalence locks the cohort driver against the exact
-// simulation at small N: with a stateless retry policy and no shared
+// TestCohortExactEquivalence locks 3-member cohorts against one driver
+// per client at small N: with a stateless retry policy and no shared
 // budget/gossip/pacer state, a 6-client run split into two 3-member
 // cohorts must be byte-identical — same rng draw order, same
-// transaction ids, same chain — to the same run with six exact
-// clients. The exact run's fingerprint is additionally locked in
+// transaction ids, same chain — to the same run with six one-member
+// drivers. The per-client run's fingerprint is additionally locked in
 // testdata/golden_cohort.txt so both modes are pinned to history, not
 // merely to each other; regenerate intended changes with
 //
@@ -128,9 +128,6 @@ func TestCohortUnevenSplit(t *testing.T) {
 	}
 	if drivers[0].Members() != 4 || drivers[1].Members() != 2 {
 		t.Errorf("cohort sizes = %d,%d, want 4,2", drivers[0].Members(), drivers[1].Members())
-	}
-	if nw.Clients() != nil {
-		t.Errorf("cohort mode still built %d exact clients", len(nw.Clients()))
 	}
 }
 
@@ -202,5 +199,51 @@ func TestCohortMemoryFlatness(t *testing.T) {
 	if perMember := (float64(h5) - float64(h3)) / 99_000; perMember > maxBytesPerMember {
 		t.Errorf("heap grew %.1f B per member from 10^3 to 10^5 clients (%.2f MiB -> %.2f MiB), pinned max %.0f B",
 			perMember, float64(h3)/(1<<20), float64(h5)/(1<<20), maxBytesPerMember)
+	}
+}
+
+// BenchmarkCohortOutcome times the client outcome path on a
+// split-signal network with AIMD retries, a retry budget, backpressure
+// and gossip: one MVCC-conflict outcome event delivered through
+// onOutcome into attemptFailed (classification, gossip window, signal
+// consultation, backoff, pacing, budget take, retry scheduling), then
+// one gossip round. Virtual time does not advance, so the scheduled
+// retries and gossip messages pile up in the event queue; a fresh
+// network replaces the old one every 1024 outcomes, off the clock, to
+// keep the queue small.
+func BenchmarkCohortOutcome(b *testing.B) {
+	cfg := retryConfig(1, AdaptivePolicy{MaxAttempts: 5, Jitter: 0.2, HintWeight: 0.5})
+	cfg.RetryBudget = &RetryBudget{RefillPerSec: 1, Burst: 1e9}
+	cfg.Backpressure = &Backpressure{}
+	cfg.Gossip = &Gossip{}
+	cfg.HintSource = HintBoth
+	cfg.SplitSignal = &SplitSignal{}
+	var c *Cohort
+	j := &pendingTx{legs: 1}
+	const txID = "tx-bench"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 {
+			b.StopTimer()
+			nw, err := NewNetwork(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c = nw.drivers[0]
+			if c.gossip == nil || c.pacer == nil || c.bucket == nil || c.split == nil || c.classObs == nil {
+				b.Fatal("network lacks part of the client control stack")
+			}
+			j.inv = cfg.Workload.Next(nw.eng.Rand())
+			b.StartTimer()
+		}
+		j.attempts, j.legsLeft, j.legFailed = 1, 1, false
+		c.pending[txID] = j
+		c.onOutcome(txID, ledger.MVCCConflictIntraBlock, 0.5, 0)
+		c.gossipRound()
+	}
+	b.StopTimer()
+	if c.resubmissions == 0 || c.nw.eng.Pending() == 0 {
+		b.Fatal("outcomes scheduled no retries")
 	}
 }

@@ -60,10 +60,9 @@ type Config struct {
 	// rotation (a few bytes per simulated client). Open-loop cohorts
 	// submit on one aggregate Poisson process with the submitting
 	// member drawn from the sim rng; closed-loop cohorts drive each
-	// member's window exactly and reproduce the per-client simulation
+	// member's window exactly and reproduce one driver per client
 	// byte-identically when the shared state is stateless (see
-	// cohort.go). 0 or 1 keeps the exact one-object-per-client
-	// simulation.
+	// cohort.go). 0 or 1 gives one driver per client.
 	CohortSize int
 
 	// Ordering (§2 step 4).
@@ -263,26 +262,35 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("fabric: block size must be positive")
 	case c.BlockTimeout <= 0:
 		return fmt.Errorf("fabric: block timeout must be positive")
-	case c.Rate <= 0:
-		return fmt.Errorf("fabric: arrival rate must be positive")
+	case !(c.Rate > 0) || math.IsInf(c.Rate, 1):
+		return fmt.Errorf("fabric: arrival rate must be positive and finite, got Rate %g tps", c.Rate)
 	case c.Duration <= 0:
 		return fmt.Errorf("fabric: duration must be positive")
 	case c.Chaincode == nil:
 		return fmt.Errorf("fabric: chaincode not set")
 	case c.Workload == nil:
 		return fmt.Errorf("fabric: workload not set")
-	case c.SpeedFactor <= 0:
-		return fmt.Errorf("fabric: speed factor must be positive")
+	case !(c.SpeedFactor > 0):
+		return fmt.Errorf("fabric: speed factor must be positive, got SpeedFactor %g", c.SpeedFactor)
 	case c.InFlightPerClient < 0:
 		return fmt.Errorf("fabric: in-flight window must be non-negative")
 	case c.Channels < 0:
 		return fmt.Errorf("fabric: channel count must be >= 0 (0 or 1 = single channel), got %d channels", c.Channels)
 	case c.CohortSize < 0:
-		return fmt.Errorf("fabric: cohort size must be >= 0 clients per cohort (0 or 1 = exact per-client simulation), got %d", c.CohortSize)
+		return fmt.Errorf("fabric: cohort size must be >= 0 clients per cohort (0 or 1 = one driver per client), got %d", c.CohortSize)
 	case math.IsNaN(c.CrossChannel) || c.CrossChannel < 0 || c.CrossChannel >= 1:
 		return fmt.Errorf("fabric: cross-channel fraction must be in [0,1), got %g", c.CrossChannel)
 	case c.CrossChannel > 0 && c.Channels < 2:
 		return fmt.Errorf("fabric: cross-channel fraction %g needs >= 2 channels, got %d", c.CrossChannel, c.Channels)
+	}
+	for i, p := range c.RateSchedule {
+		// A non-positive or non-finite rate makes the arrival process's
+		// mean inter-arrival time non-positive, so Engine.Exponential
+		// returns 0 and arrivals would re-fire at one virtual instant
+		// forever.
+		if !(p.Rate > 0) || math.IsInf(p.Rate, 1) {
+			return fmt.Errorf("fabric: RateSchedule phase %d rate must be positive and finite, got %g tps", i, p.Rate)
+		}
 	}
 	if c.Channels > 1 && c.Variant != nil && c.Variant.Name() != (Vanilla{}).Name() {
 		return fmt.Errorf("fabric: multi-channel sharding (%d channels) supports only the vanilla fabric-1.4 variant, got %q", c.Channels, c.Variant.Name())
@@ -342,8 +350,8 @@ func (c *Config) channels() int {
 	return c.Channels
 }
 
-// cohortSize resolves the configured cohort size (0 means 1, the
-// exact per-client simulation).
+// cohortSize resolves the configured cohort size (0 means 1, one
+// driver per client).
 func (c *Config) cohortSize() int {
 	if c.CohortSize < 1 {
 		return 1

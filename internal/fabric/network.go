@@ -34,8 +34,6 @@ type Network struct {
 	pol      *policy.Policy
 	orgs     []string
 	peers    []*Peer
-	clients  []*Client
-	cohorts  []*Cohort
 	orderers []*OrderingService
 	vals     []*validator
 	chains   []*ledger.Chain
@@ -83,13 +81,12 @@ type Network struct {
 	// plumbing is fully inert and runs behave exactly like the
 	// paper's fire-and-forget clients.
 	tracking bool
-	// drivers is the full client-driver list — exact clients or
-	// cohorts, whichever the config selects — in start order. It is
-	// also the gossip mesh.
-	drivers []ClientDriver
+	// drivers is the client-driver list in start order. It is also
+	// the gossip mesh.
+	drivers []*Cohort
 	// driversByName resolves a transaction's ClientID to its driver
 	// for commit-event delivery.
-	driversByName map[string]ClientDriver
+	driversByName map[string]*Cohort
 }
 
 // NewNetwork validates the config and builds the deployment: MSP
@@ -123,7 +120,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		variant:       cfg.Variant,
 		retry:         retry,
 		tracking:      cfg.ClosedLoop || !noRetry,
-		driversByName: map[string]ClientDriver{},
+		driversByName: map[string]*Cohort{},
 	}
 	if cfg.Backpressure != nil {
 		b := cfg.Backpressure.withDefaults()
@@ -227,28 +224,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 		nw.orderers = append(nw.orderers, newOrderingService(nw, cons, ch))
 	}
 
-	// Client drivers: exact per-client simulation when the cohort size
-	// is 1, otherwise cohorts of CohortSize members (the last cohort
-	// takes the remainder).
-	if size := cfg.cohortSize(); size == 1 {
-		for c := 0; c < cfg.Clients; c++ {
-			cl := newClient(nw, c)
-			nw.clients = append(nw.clients, cl)
-			nw.drivers = append(nw.drivers, cl)
-			nw.driversByName[cl.name] = cl
-		}
-	} else {
-		for first, idx := 0, 0; first < cfg.Clients; idx++ {
-			n := size
-			if rest := cfg.Clients - first; n > rest {
-				n = rest
-			}
-			co := newCohort(nw, idx, first, n)
-			nw.cohorts = append(nw.cohorts, co)
-			nw.drivers = append(nw.drivers, co)
-			nw.driversByName[co.name] = co
-			first += n
-		}
+	// Client drivers of CohortSize members each (0 or 1: one driver per
+	// client); the last driver takes the remainder.
+	size := cfg.cohortSize()
+	for first := 0; first < cfg.Clients; first += size {
+		d := newCohort(nw, len(nw.drivers), first, min(size, cfg.Clients-first))
+		nw.drivers = append(nw.drivers, d)
+		nw.driversByName[d.name] = d
 	}
 
 	// Fault schedule last: the topology is known, so scenarios expand
@@ -281,7 +263,7 @@ func (nw *Network) deliverOutcome(src string, tx *ledger.Transaction, code ledge
 	if cl == nil {
 		return
 	}
-	nw.net.Send(src, cl.Name(), func() { cl.onOutcome(tx.ID, code, hint, channel) })
+	nw.net.Send(src, cl.name, func() { cl.onOutcome(tx.ID, code, hint, channel) })
 }
 
 // channelOf routes an invocation to its home channel by hashing its
@@ -367,14 +349,8 @@ func (nw *Network) Collector() *metrics.Collector { return nw.col }
 // Peers returns all peers.
 func (nw *Network) Peers() []*Peer { return nw.peers }
 
-// Clients returns the exact per-client drivers. Empty in cohort mode
-// (Config.CohortSize > 1) — use Drivers for the mode-independent
-// view.
-func (nw *Network) Clients() []*Client { return nw.clients }
-
-// Drivers returns every client driver — exact clients or cohorts — in
-// start order.
-func (nw *Network) Drivers() []ClientDriver { return nw.drivers }
+// Drivers returns every client driver in start order.
+func (nw *Network) Drivers() []*Cohort { return nw.drivers }
 
 // metricsPeer is the peer whose commits define the canonical chain and
 // latency measurements (the first peer of the first org).
