@@ -44,21 +44,23 @@ type Chaincode interface {
 // Stub is the world-state access object handed to chaincode
 // invocations. It captures the read/write set and operation trace.
 type Stub struct {
-	db      statedb.VersionedDB
-	rwset   *ledger.RWSet
-	trace   costmodel.OpTrace
+	db    statedb.VersionedDB
+	rwset *ledger.RWSet
+	trace costmodel.OpTrace
+	// readKey and writes index rwset.Reads and rwset.Writes by key
+	// once the slice outgrows smallSet; until then, lookups scan it.
 	readKey map[string]bool // keys already in the read set
 	writes  map[string]int  // key -> index into rwset.Writes
 }
 
+// smallSet is the read or write set size up to which the stub finds a
+// key by a linear scan instead of a map. Most invocations touch one or
+// two keys; range-heavy and genesis sets get a map.
+const smallSet = 8
+
 // NewStub creates a stub executing against db.
 func NewStub(db statedb.VersionedDB) *Stub {
-	return &Stub{
-		db:      db,
-		rwset:   &ledger.RWSet{},
-		readKey: map[string]bool{},
-		writes:  map[string]int{},
-	}
+	return &Stub{db: db, rwset: &ledger.RWSet{}}
 }
 
 // RWSet returns the captured read/write set.
@@ -75,13 +77,21 @@ func (s *Stub) GetState(key string) ([]byte, error) {
 	}
 	s.trace.Gets++
 	vv := s.db.Get(key)
-	if !s.readKey[key] {
-		s.readKey[key] = true
+	if !s.hasRead(key) {
 		r := ledger.KVRead{Key: key}
 		if vv != nil {
 			r.Version = vv.Version
 		}
 		s.rwset.Reads = append(s.rwset.Reads, r)
+		switch reads := s.rwset.Reads; {
+		case s.readKey != nil:
+			s.readKey[key] = true
+		case len(reads) > smallSet:
+			s.readKey = make(map[string]bool, 2*len(reads))
+			for _, r := range reads {
+				s.readKey[r.Key] = true
+			}
+		}
 	}
 	if vv == nil {
 		return nil, nil
@@ -109,13 +119,50 @@ func (s *Stub) DelState(key string) error {
 	return nil
 }
 
+// hasRead reports whether key is already in the read set.
+func (s *Stub) hasRead(key string) bool {
+	if s.readKey != nil {
+		return s.readKey[key]
+	}
+	for _, r := range s.rwset.Reads {
+		if r.Key == key {
+			return true
+		}
+	}
+	return false
+}
+
 func (s *Stub) bufferWrite(w ledger.KVWrite) {
-	if i, ok := s.writes[w.Key]; ok {
+	if i := s.writeIndex(w.Key); i >= 0 {
 		s.rwset.Writes[i] = w
 		return
 	}
-	s.writes[w.Key] = len(s.rwset.Writes)
 	s.rwset.Writes = append(s.rwset.Writes, w)
+	switch writes := s.rwset.Writes; {
+	case s.writes != nil:
+		s.writes[w.Key] = len(writes) - 1
+	case len(writes) > smallSet:
+		s.writes = make(map[string]int, 2*len(writes))
+		for i, w := range writes {
+			s.writes[w.Key] = i
+		}
+	}
+}
+
+// writeIndex returns the index of key's buffered write, or -1.
+func (s *Stub) writeIndex(key string) int {
+	if s.writes != nil {
+		if i, ok := s.writes[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i, w := range s.rwset.Writes {
+		if w.Key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // GetStateByRange scans [start, end) and records the observed

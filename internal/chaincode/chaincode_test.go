@@ -1,6 +1,9 @@
 package chaincode
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/ledger"
@@ -154,5 +157,79 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := r.New("nope"); err == nil {
 		t.Fatal("unknown chaincode instantiated")
+	}
+}
+
+// refStub is the read/write bookkeeping the stub kept before it
+// scanned small sets: a map of keys read and a map from key to write
+// index, both built on every stub.
+type refStub struct {
+	db      statedb.VersionedDB
+	rw      ledger.RWSet
+	readKey map[string]bool
+	writes  map[string]int
+}
+
+func (s *refStub) get(key string) []byte {
+	vv := s.db.Get(key)
+	if !s.readKey[key] {
+		s.readKey[key] = true
+		r := ledger.KVRead{Key: key}
+		if vv != nil {
+			r.Version = vv.Version
+		}
+		s.rw.Reads = append(s.rw.Reads, r)
+	}
+	if vv == nil {
+		return nil
+	}
+	return vv.Value
+}
+
+func (s *refStub) write(w ledger.KVWrite) {
+	if i, ok := s.writes[w.Key]; ok {
+		s.rw.Writes[i] = w
+		return
+	}
+	s.writes[w.Key] = len(s.rw.Writes)
+	s.rw.Writes = append(s.rw.Writes, w)
+}
+
+// TestStubMatchesMapReference drives the stub and the map-based
+// reference through random gets, puts and deletes whose read and write
+// sets grow past smallSet, with repeated reads, overwrites and deletes
+// of buffered keys, and requires identical read/write sets.
+func TestStubMatchesMapReference(t *testing.T) {
+	db := statedb.New(statedb.LevelDB, 1)
+	b := &statedb.UpdateBatch{}
+	for i := 0; i < 30; i += 2 { // odd keys stay absent
+		b.Put(fmt.Sprintf("k%02d", i), []byte{byte(i)}, ledger.Height{BlockNum: 1, TxNum: uint64(i)})
+	}
+	db.ApplyUpdates(b, 1)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		s := NewStub(db)
+		ref := &refStub{db: db, readKey: map[string]bool{}, writes: map[string]int{}}
+		keys := 1 + rng.Intn(30)
+		for op := rng.Intn(80); op > 0; op-- {
+			key := fmt.Sprintf("k%02d", rng.Intn(keys))
+			switch rng.Intn(3) {
+			case 0:
+				got, err := s.GetState(key)
+				if want := ref.get(key); err != nil || string(got) != string(want) {
+					t.Fatalf("GetState(%s) = %q, %v; want %q", key, got, err, want)
+				}
+			case 1:
+				v := []byte{byte(op)}
+				s.PutState(key, v)
+				ref.write(ledger.KVWrite{Key: key, Value: v})
+			default:
+				s.DelState(key)
+				ref.write(ledger.KVWrite{Key: key, IsDelete: true})
+			}
+		}
+		if !reflect.DeepEqual(*s.RWSet(), ref.rw) {
+			t.Fatalf("trial %d (%d keys): rwset %+v, reference %+v", trial, keys, *s.RWSet(), ref.rw)
+		}
 	}
 }

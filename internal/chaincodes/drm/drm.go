@@ -6,9 +6,9 @@
 package drm
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/chaincode"
 	"repro/internal/dist"
@@ -39,13 +39,13 @@ type holderDoc struct {
 }
 
 // ArtKey is an artwork's world-state key.
-func ArtKey(i int) string { return fmt.Sprintf("art_%03d", i) }
+func ArtKey(i int) string { return chaincode.PaddedKey("art_", i, 3) }
 
 // HolderKey is a right holder's world-state key.
-func HolderKey(i int) string { return fmt.Sprintf("holder_%03d", i) }
+func HolderKey(i int) string { return chaincode.PaddedKey("holder_", i, 3) }
 
 // IPI formats a right holder's industry-standard identifier.
-func IPI(i int) string { return fmt.Sprintf("IPI-%08d", i) }
+func IPI(i int) string { return chaincode.PaddedKey("IPI-", i, 8) }
 
 // Chaincode is the DRM contract.
 type Chaincode struct{}
@@ -59,18 +59,18 @@ func (c *Chaincode) Name() string { return Name }
 // Init seeds the artworks and right holders.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
 	for h := 0; h < Holders; h++ {
-		if err := putJSON(stub, HolderKey(h), &holderDoc{IPI: IPI(h)}); err != nil {
+		if err := chaincode.PutDoc(stub, HolderKey(h), &holderDoc{IPI: IPI(h)}); err != nil {
 			return err
 		}
 	}
 	for a := 0; a < Artworks; a++ {
 		doc := &artworkDoc{
-			ArtID:  fmt.Sprint(a),
+			ArtID:  strconv.Itoa(a),
 			Format: "dotBC",
 			Owner:  IPI(a % Holders),
 			Rate:   1 + a%9,
 		}
-		if err := putJSON(stub, ArtKey(a), doc); err != nil {
+		if err := chaincode.PutDoc(stub, ArtKey(a), doc); err != nil {
 			return err
 		}
 	}
@@ -81,26 +81,26 @@ func (c *Chaincode) Init(stub *chaincode.Stub) error {
 func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error {
 	switch fn {
 	case "initLedger": // 2xW
-		if err := putJSON(stub, HolderKey(0), &holderDoc{IPI: IPI(0)}); err != nil {
+		if err := chaincode.PutDoc(stub, HolderKey(0), &holderDoc{IPI: IPI(0)}); err != nil {
 			return err
 		}
-		return putJSON(stub, ArtKey(0), &artworkDoc{ArtID: "0", Format: "dotBC", Owner: IPI(0)})
+		return chaincode.PutDoc(stub, ArtKey(0), &artworkDoc{ArtID: "0", Format: "dotBC", Owner: IPI(0)})
 	case "create": // 1xR, 2xW: register a new artwork for a holder
 		art, holder, err := artHolderArgs(args)
 		if err != nil {
 			return err
 		}
 		var h holderDoc
-		if err := getJSON(stub, HolderKey(holder), &h); err != nil {
+		if _, err := chaincode.GetDoc(stub, HolderKey(holder), &h); err != nil {
 			return err
 		}
 		h.IPI = IPI(holder)
 		h.Works++
-		if err := putJSON(stub, HolderKey(holder), &h); err != nil {
+		if err := chaincode.PutDoc(stub, HolderKey(holder), &h); err != nil {
 			return err
 		}
-		return putJSON(stub, ArtKey(art), &artworkDoc{
-			ArtID: fmt.Sprint(art), Format: "dotBC", Owner: IPI(holder), Rate: 1,
+		return chaincode.PutDoc(stub, ArtKey(art), &artworkDoc{
+			ArtID: strconv.Itoa(art), Format: "dotBC", Owner: IPI(holder), Rate: 1,
 		})
 	case "play": // 2xR, 1xW: bump the play count
 		art, holder, err := artHolderArgs(args)
@@ -108,15 +108,15 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 			return err
 		}
 		var a artworkDoc
-		if err := getJSON(stub, ArtKey(art), &a); err != nil {
+		if _, err := chaincode.GetDoc(stub, ArtKey(art), &a); err != nil {
 			return err
 		}
 		var h holderDoc
-		if err := getJSON(stub, HolderKey(holder), &h); err != nil {
+		if _, err := chaincode.GetDoc(stub, HolderKey(holder), &h); err != nil {
 			return err
 		}
 		a.Plays++
-		return putJSON(stub, ArtKey(art), &a)
+		return chaincode.PutDoc(stub, ArtKey(art), &a)
 	case "queryRghts": // 2xR
 		art, holder, err := artHolderArgs(args)
 		if err != nil {
@@ -154,8 +154,8 @@ func artArg(args []string) (int, error) {
 	if len(args) < 1 {
 		return 0, fmt.Errorf("drm: missing artwork argument")
 	}
-	var a int
-	if _, err := fmt.Sscanf(args[0], "%d", &a); err != nil || a < 0 {
+	a, err := chaincode.ScanInt(args[0])
+	if err != nil || a < 0 {
 		return 0, fmt.Errorf("drm: bad artwork %q", args[0])
 	}
 	return a % Artworks, nil
@@ -169,30 +169,11 @@ func artHolderArgs(args []string) (int, int, error) {
 	if len(args) < 2 {
 		return 0, 0, fmt.Errorf("drm: missing holder argument")
 	}
-	var h int
-	if _, err := fmt.Sscanf(args[1], "%d", &h); err != nil || h < 0 {
+	h, err := chaincode.ScanInt(args[1])
+	if err != nil || h < 0 {
 		return 0, 0, fmt.Errorf("drm: bad holder %q", args[1])
 	}
 	return a, h % Holders, nil
-}
-
-func getJSON(stub *chaincode.Stub, key string, out interface{}) error {
-	raw, err := stub.GetState(key)
-	if err != nil {
-		return err
-	}
-	if raw == nil {
-		return nil
-	}
-	return json.Unmarshal(raw, out)
-}
-
-func putJSON(stub *chaincode.Stub, key string, v interface{}) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return stub.PutState(key, raw)
 }
 
 // Functions lists the Table 2 rows for DRM.
@@ -217,16 +198,16 @@ func NewWorkload(skew float64) workload.Generator {
 		switch rng.Intn(5) {
 		case 0:
 			return workload.Invocation{Chaincode: Name, Function: "create",
-				Args: []string{fmt.Sprint(art), fmt.Sprint(holder)}}
+				Args: []string{strconv.Itoa(art), strconv.Itoa(holder)}}
 		case 1:
 			return workload.Invocation{Chaincode: Name, Function: "play",
-				Args: []string{fmt.Sprint(art), fmt.Sprint(holder)}}
+				Args: []string{strconv.Itoa(art), strconv.Itoa(holder)}}
 		case 2:
 			return workload.Invocation{Chaincode: Name, Function: "queryRghts",
-				Args: []string{fmt.Sprint(art), fmt.Sprint(holder)}}
+				Args: []string{strconv.Itoa(art), strconv.Itoa(holder)}}
 		case 3:
 			return workload.Invocation{Chaincode: Name, Function: "viewMetaData",
-				Args: []string{fmt.Sprint(art)}}
+				Args: []string{strconv.Itoa(art)}}
 		default:
 			return workload.Invocation{Chaincode: Name, Function: "calcRevenue",
 				Args: []string{IPI(holder)}}

@@ -2,7 +2,9 @@ package drm
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/cctest"
@@ -160,6 +162,54 @@ func TestWorkloadProducesValidInvocations(t *testing.T) {
 		inv := gen.Next(rng)
 		if _, err := cctest.Invoke(cc, db, inv.Function, inv.Args...); err != nil {
 			t.Fatalf("%s(%v): %v", inv.Function, inv.Args, err)
+		}
+	}
+}
+
+// TestKeysAndArgsMatchFmt pins the key builders, the argument parsers
+// and the workload's arguments to the fmt calls they replace: keys for
+// in-range, negative and wide indices, and arguments that exercise
+// Sscanf's leniency.
+func TestKeysAndArgsMatchFmt(t *testing.T) {
+	for _, i := range []int{0, 1, 7, 42, 99, 100, 999, 1000, 123456789, -1, -42, -1000} {
+		for _, c := range []struct{ got, want string }{
+			{ArtKey(i), fmt.Sprintf("art_%03d", i)},
+			{HolderKey(i), fmt.Sprintf("holder_%03d", i)},
+			{IPI(i), fmt.Sprintf("IPI-%08d", i)},
+		} {
+			if c.got != c.want {
+				t.Errorf("key %q, want %q", c.got, c.want)
+			}
+		}
+	}
+	refArtHolderArgs := func(args []string) (int, int, error) {
+		var a, h int
+		if _, err := fmt.Sscanf(args[0], "%d", &a); err != nil || a < 0 {
+			return 0, 0, fmt.Errorf("drm: bad artwork %q", args[0])
+		}
+		if _, err := fmt.Sscanf(args[1], "%d", &h); err != nil || h < 0 {
+			return 0, 0, fmt.Errorf("drm: bad holder %q", args[1])
+		}
+		return a % Artworks, h % Holders, nil
+	}
+	inputs := []string{"0", "7", "42", "007", "123456789", "1234567890",
+		"12abc", " 12", "+12", "0x1f", "-3", "", "abc", "12345678901234567890"}
+	for _, a := range inputs {
+		for _, h := range inputs {
+			ga, gh, gerr := artHolderArgs([]string{a, h})
+			wa, wh, werr := refArtHolderArgs([]string{a, h})
+			if ga != wa || gh != wh || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Errorf("artHolderArgs(%q, %q) = %d, %d, %v; want %d, %d, %v", a, h, ga, gh, gerr, wa, wh, werr)
+			}
+		}
+	}
+	wl := NewWorkload(1)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		for _, a := range wl.Next(rng).Args {
+			if n, err := strconv.Atoi(a); err == nil && a != fmt.Sprint(n) {
+				t.Fatalf("workload argument %q is not fmt.Sprint of %d", a, n)
+			}
 		}
 	}
 }

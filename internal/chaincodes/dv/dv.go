@@ -8,9 +8,9 @@
 package dv
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/chaincode"
 	"repro/internal/dist"
@@ -45,10 +45,10 @@ type electionDoc struct {
 }
 
 // VoterKey is the world-state key of a voter.
-func VoterKey(i int) string { return fmt.Sprintf("voter_%04d", i) }
+func VoterKey(i int) string { return chaincode.PaddedKey("voter_", i, 4) }
 
 // PartyKey is the world-state key of a party.
-func PartyKey(i int) string { return fmt.Sprintf("party_%02d", i) }
+func PartyKey(i int) string { return chaincode.PaddedKey("party_", i, 2) }
 
 // voterRangeEnd is the exclusive upper bound that covers every voter.
 const voterRangeEnd = "voter_~"
@@ -68,36 +68,36 @@ func (c *Chaincode) Name() string { return Name }
 // Init seeds the electorate, the parties and the open election flag.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
 	for v := 0; v < Voters; v++ {
-		if err := putJSON(stub, VoterKey(v), &voterDoc{VoterID: fmt.Sprint(v)}); err != nil {
+		if err := chaincode.PutDoc(stub, VoterKey(v), &voterDoc{VoterID: strconv.Itoa(v)}); err != nil {
 			return err
 		}
 	}
 	for p := 0; p < Parties; p++ {
-		if err := putJSON(stub, PartyKey(p), &partyDoc{PartyID: fmt.Sprint(p)}); err != nil {
+		if err := chaincode.PutDoc(stub, PartyKey(p), &partyDoc{PartyID: strconv.Itoa(p)}); err != nil {
 			return err
 		}
 	}
-	return putJSON(stub, electionKey, &electionDoc{Open: true})
+	return chaincode.PutDoc(stub, electionKey, &electionDoc{Open: true})
 }
 
 // Invoke dispatches the functions of Table 2.
 func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error {
 	switch fn {
 	case "initLedger": // 3xW: election flag + one voter + one party
-		if err := putJSON(stub, electionKey, &electionDoc{Open: true}); err != nil {
+		if err := chaincode.PutDoc(stub, electionKey, &electionDoc{Open: true}); err != nil {
 			return err
 		}
-		if err := putJSON(stub, VoterKey(0), &voterDoc{VoterID: "0"}); err != nil {
+		if err := chaincode.PutDoc(stub, VoterKey(0), &voterDoc{VoterID: "0"}); err != nil {
 			return err
 		}
-		return putJSON(stub, PartyKey(0), &partyDoc{PartyID: "0"})
+		return chaincode.PutDoc(stub, PartyKey(0), &partyDoc{PartyID: "0"})
 	case "vote": // 1xR, 2xRR, 2xW
 		if len(args) < 2 {
 			return fmt.Errorf("dv: vote needs voter and party")
 		}
 		voter, party := args[0], args[1]
 		var e electionDoc
-		if err := getJSON(stub, electionKey, &e); err != nil {
+		if _, err := chaincode.GetDoc(stub, electionKey, &e); err != nil {
 			return err
 		}
 		if !e.Open {
@@ -119,7 +119,7 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		var vd voterDoc
 		for _, kv := range voters {
 			if kv.Key == "voter_"+voter {
-				if err := json.Unmarshal(kv.Value, &vd); err != nil {
+				if err := chaincode.DecodeDoc(kv.Value, &vd); err != nil {
 					return err
 				}
 				break
@@ -129,7 +129,7 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 			return nil // blocked from casting twice
 		}
 		vd.VoterID, vd.Voted, vd.Party = voter, true, party
-		if err := putJSON(stub, "voter_"+voter, &vd); err != nil {
+		if err := chaincode.PutDoc(stub, "voter_"+voter, &vd); err != nil {
 			return err
 		}
 		// The party's current tally comes from the range scan above —
@@ -137,7 +137,7 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		var pd partyDoc
 		for _, kv := range parties {
 			if kv.Key == "party_"+party {
-				if err := json.Unmarshal(kv.Value, &pd); err != nil {
+				if err := chaincode.DecodeDoc(kv.Value, &pd); err != nil {
 					return err
 				}
 				break
@@ -145,17 +145,17 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		}
 		pd.PartyID = party
 		pd.Votes++
-		return putJSON(stub, "party_"+party, &pd)
+		return chaincode.PutDoc(stub, "party_"+party, &pd)
 	case "closeElctn": // 1xR, 1xW
 		var e electionDoc
-		if err := getJSON(stub, electionKey, &e); err != nil {
+		if _, err := chaincode.GetDoc(stub, electionKey, &e); err != nil {
 			return err
 		}
 		e.Open = false
-		return putJSON(stub, electionKey, &e)
+		return chaincode.PutDoc(stub, electionKey, &e)
 	case "qryParties", "seeResults": // 1xR, 1xRR
 		var e electionDoc
-		if err := getJSON(stub, electionKey, &e); err != nil {
+		if _, err := chaincode.GetDoc(stub, electionKey, &e); err != nil {
 			return err
 		}
 		_, err := stub.GetStateByRange("party_", partyRangeEnd)
@@ -163,25 +163,6 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 	default:
 		return fmt.Errorf("dv: unknown function %q", fn)
 	}
-}
-
-func getJSON(stub *chaincode.Stub, key string, out interface{}) error {
-	raw, err := stub.GetState(key)
-	if err != nil {
-		return err
-	}
-	if raw == nil {
-		return nil
-	}
-	return json.Unmarshal(raw, out)
-}
-
-func putJSON(stub *chaincode.Stub, key string, v interface{}) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return stub.PutState(key, raw)
 }
 
 // Functions lists the Table 2 rows for DV.
@@ -208,8 +189,8 @@ func NewWorkload(skew float64) workload.Generator {
 		case 1:
 			return workload.Invocation{Chaincode: Name, Function: "seeResults"}
 		default:
-			voter := fmt.Sprintf("%04d", z.Next(rng))
-			party := fmt.Sprintf("%02d", rng.Intn(Parties))
+			voter := chaincode.PaddedKey("", z.Next(rng), 4)
+			party := chaincode.PaddedKey("", rng.Intn(Parties), 2)
 			return workload.Invocation{Chaincode: Name, Function: "vote", Args: []string{voter, party}}
 		}
 	})

@@ -11,9 +11,9 @@
 package ehr
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/chaincode"
 	"repro/internal/dist"
@@ -52,23 +52,23 @@ func New() *Chaincode { return &Chaincode{} }
 func (c *Chaincode) Name() string { return Name }
 
 // ProfileKey is the world-state key of a patient's profile.
-func ProfileKey(patient int) string { return fmt.Sprintf("profile_%03d", patient) }
+func ProfileKey(patient int) string { return chaincode.PaddedKey("profile_", patient, 3) }
 
 // RecordKey is the world-state key of a patient's EHR.
-func RecordKey(patient int) string { return fmt.Sprintf("ehr_%03d", patient) }
+func RecordKey(patient int) string { return chaincode.PaddedKey("ehr_", patient, 3) }
 
-func actorName(i int) string { return fmt.Sprintf("actor%02d", i) }
+func actorName(i int) string { return chaincode.PaddedKey("actor", i, 2) }
 
 // Init seeds the 100 profiles and 100 EHRs.
 func (c *Chaincode) Init(stub *chaincode.Stub) error {
 	for p := 0; p < Patients; p++ {
-		if err := putJSON(stub, ProfileKey(p), &profile{
-			PatientID: fmt.Sprint(p), Access: map[string]bool{},
+		if err := chaincode.PutDoc(stub, ProfileKey(p), &profile{
+			PatientID: strconv.Itoa(p), Access: map[string]bool{},
 		}); err != nil {
 			return err
 		}
-		if err := putJSON(stub, RecordKey(p), &record{
-			PatientID: fmt.Sprint(p), Access: map[string]bool{},
+		if err := chaincode.PutDoc(stub, RecordKey(p), &record{
+			PatientID: strconv.Itoa(p), Access: map[string]bool{},
 		}); err != nil {
 			return err
 		}
@@ -84,13 +84,13 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		if err != nil {
 			return err
 		}
-		if err := putJSON(stub, ProfileKey(patient), &profile{
-			PatientID: fmt.Sprint(patient), Access: map[string]bool{},
+		if err := chaincode.PutDoc(stub, ProfileKey(patient), &profile{
+			PatientID: strconv.Itoa(patient), Access: map[string]bool{},
 		}); err != nil {
 			return err
 		}
-		return putJSON(stub, RecordKey(patient), &record{
-			PatientID: fmt.Sprint(patient), Access: map[string]bool{},
+		return chaincode.PutDoc(stub, RecordKey(patient), &record{
+			PatientID: strconv.Itoa(patient), Access: map[string]bool{},
 		})
 	case "addEhr": // 2xR, 2xW
 		patient, err := patientArg(args)
@@ -98,26 +98,26 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 			return err
 		}
 		var p profile
-		if err := getJSON(stub, ProfileKey(patient), &p); err != nil {
+		if _, err := chaincode.GetDoc(stub, ProfileKey(patient), &p); err != nil {
 			return err
 		}
 		var r record
-		if err := getJSON(stub, RecordKey(patient), &r); err != nil {
+		if _, err := chaincode.GetDoc(stub, RecordKey(patient), &r); err != nil {
 			return err
 		}
 		r.Entries++
 		p.Updates++
-		if err := putJSON(stub, RecordKey(patient), &r); err != nil {
+		if err := chaincode.PutDoc(stub, RecordKey(patient), &r); err != nil {
 			return err
 		}
-		return putJSON(stub, ProfileKey(patient), &p)
+		return chaincode.PutDoc(stub, ProfileKey(patient), &p)
 	case "grantProfileAccess", "revokeProfileAccess": // 1xR, 1xW
 		patient, actor, err := patientActorArgs(args)
 		if err != nil {
 			return err
 		}
 		var p profile
-		if err := getJSON(stub, ProfileKey(patient), &p); err != nil {
+		if _, err := chaincode.GetDoc(stub, ProfileKey(patient), &p); err != nil {
 			return err
 		}
 		if p.Access == nil {
@@ -128,18 +128,18 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 		} else {
 			delete(p.Access, actor)
 		}
-		return putJSON(stub, ProfileKey(patient), &p)
+		return chaincode.PutDoc(stub, ProfileKey(patient), &p)
 	case "grantEhrAccess", "revokeEhrAccess": // 2xR, 2xW
 		patient, actor, err := patientActorArgs(args)
 		if err != nil {
 			return err
 		}
 		var p profile
-		if err := getJSON(stub, ProfileKey(patient), &p); err != nil {
+		if _, err := chaincode.GetDoc(stub, ProfileKey(patient), &p); err != nil {
 			return err
 		}
 		var r record
-		if err := getJSON(stub, RecordKey(patient), &r); err != nil {
+		if _, err := chaincode.GetDoc(stub, RecordKey(patient), &r); err != nil {
 			return err
 		}
 		if p.Access == nil {
@@ -155,10 +155,10 @@ func (c *Chaincode) Invoke(stub *chaincode.Stub, fn string, args []string) error
 			delete(r.Access, actor)
 			delete(p.Access, actor)
 		}
-		if err := putJSON(stub, RecordKey(patient), &r); err != nil {
+		if err := chaincode.PutDoc(stub, RecordKey(patient), &r); err != nil {
 			return err
 		}
-		return putJSON(stub, ProfileKey(patient), &p)
+		return chaincode.PutDoc(stub, ProfileKey(patient), &p)
 	case "readProfile", "viewPartialProfile": // 1xR
 		patient, err := patientArg(args)
 		if err != nil {
@@ -182,8 +182,8 @@ func patientArg(args []string) (int, error) {
 	if len(args) < 1 {
 		return 0, fmt.Errorf("ehr: missing patient argument")
 	}
-	var p int
-	if _, err := fmt.Sscanf(args[0], "%d", &p); err != nil || p < 0 {
+	p, err := chaincode.ScanInt(args[0])
+	if err != nil || p < 0 {
 		return 0, fmt.Errorf("ehr: bad patient %q", args[0])
 	}
 	return p % Patients, nil
@@ -198,25 +198,6 @@ func patientActorArgs(args []string) (int, string, error) {
 		return 0, "", fmt.Errorf("ehr: missing actor argument")
 	}
 	return p, args[1], nil
-}
-
-func getJSON(stub *chaincode.Stub, key string, out interface{}) error {
-	raw, err := stub.GetState(key)
-	if err != nil {
-		return err
-	}
-	if raw == nil {
-		return nil // upsert semantics: absent entity starts zeroed
-	}
-	return json.Unmarshal(raw, out)
-}
-
-func putJSON(stub *chaincode.Stub, key string, v interface{}) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return stub.PutState(key, raw)
 }
 
 // Functions lists the invocable functions with their operation counts
@@ -249,7 +230,7 @@ func NewWorkload(skew float64) workload.Generator {
 	return workload.Func(func(rng *rand.Rand) workload.Invocation {
 		fn := fns[rng.Intn(len(fns))]
 		patient := z.Next(rng)
-		args := []string{fmt.Sprint(patient)}
+		args := []string{strconv.Itoa(patient)}
 		switch fn {
 		case "grantProfileAccess", "revokeProfileAccess", "grantEhrAccess", "revokeEhrAccess":
 			args = append(args, actorName(rng.Intn(Actors)))

@@ -188,8 +188,10 @@ func (testVariant) Name() string { return "test-variant" }
 // covers the load and speed knobs whose NaN or infinite values would
 // otherwise pass: an arrival rate (or rate-schedule phase) that is not
 // positive and finite makes the open-loop arrival process re-fire at
-// one virtual instant forever, and a NaN speed factor turns every
-// scaled per-block cost into Duration(NaN).
+// one virtual instant forever, as does a finite rate so high (or so
+// low) that the largest driver's mean inter-arrival time is not a
+// positive Duration, and a NaN speed factor turns every scaled
+// per-block cost into Duration(NaN).
 func TestValidateScaleKnobs(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -241,6 +243,17 @@ func TestValidateScaleKnobs(t *testing.T) {
 		{"rate schedule valid", func(c *Config) {
 			c.RateSchedule = []RatePhase{{Duration: time.Second, Rate: 10}, {Duration: time.Second, Rate: 150}}
 		}, ""},
+		{"rate too high for 5 clients", func(c *Config) { c.Rate = 1e10 },
+			"arrival rate too high: a 1-client driver's mean inter-arrival time 0.5 ns truncates to 0, got Rate 1e+10 tps"},
+		{"rate too high for a cohort", func(c *Config) {
+			c.Clients, c.CohortSize, c.Rate = 1000, 300, 4e9 // the last driver's 100 clients alone would pass
+		}, "a 300-client driver's mean inter-arrival time 0.833 ns truncates to 0, got Rate 4e+09 tps"},
+		{"rate highest valid", func(c *Config) { c.Rate = 5e9 }, ""},
+		{"rate too low", func(c *Config) { c.Rate = 1e-10 },
+			"arrival rate too low: a 1-client driver's mean inter-arrival time 5e+19 ns overflows a time.Duration, got Rate 1e-10 tps"},
+		{"rate phase too high", func(c *Config) {
+			c.RateSchedule = []RatePhase{{Duration: time.Second, Rate: 10}, {Duration: time.Second, Rate: 1e12}}
+		}, "got RateSchedule phase 1 rate 1e+12 tps"},
 		{"speed factor NaN", func(c *Config) { c.SpeedFactor = math.NaN() },
 			"speed factor must be positive, got SpeedFactor NaN"},
 	}

@@ -203,8 +203,7 @@ func (c *Cohort) start() {
 	}
 	mean := func() time.Duration {
 		rate := c.nw.cfg.RateAt(time.Duration(c.nw.eng.Now()))
-		return time.Duration(float64(time.Second) * float64(c.nw.cfg.Clients) /
-			(rate * float64(c.members)))
+		return time.Duration(c.nw.cfg.arrivalMean(rate, c.members))
 	}
 	var arrive func()
 	arrive = func() {

@@ -283,6 +283,9 @@ func (c *Config) Validate() error {
 	case c.CrossChannel > 0 && c.Channels < 2:
 		return fmt.Errorf("fabric: cross-channel fraction %g needs >= 2 channels, got %d", c.CrossChannel, c.Channels)
 	}
+	if err := c.checkArrivalMean("Rate", c.Rate); err != nil {
+		return err
+	}
 	for i, p := range c.RateSchedule {
 		// A non-positive or non-finite rate makes the arrival process's
 		// mean inter-arrival time non-positive, so Engine.Exponential
@@ -290,6 +293,9 @@ func (c *Config) Validate() error {
 		// forever.
 		if !(p.Rate > 0) || math.IsInf(p.Rate, 1) {
 			return fmt.Errorf("fabric: RateSchedule phase %d rate must be positive and finite, got %g tps", i, p.Rate)
+		}
+		if err := c.checkArrivalMean(fmt.Sprintf("RateSchedule phase %d rate", i), p.Rate); err != nil {
+			return err
 		}
 	}
 	if c.Channels > 1 && c.Variant != nil && c.Variant.Name() != (Vanilla{}).Name() {
@@ -357,6 +363,32 @@ func (c *Config) cohortSize() int {
 		return 1
 	}
 	return c.CohortSize
+}
+
+// arrivalMean is the mean inter-arrival time, in nanoseconds before
+// truncation to a time.Duration, of one driver of members clients when
+// all clients together send rate tps.
+func (c *Config) arrivalMean(rate float64, members int) float64 {
+	return float64(time.Second) * float64(c.Clients) / (rate * float64(members))
+}
+
+// checkArrivalMean rejects a positive, finite rate (named by field)
+// whose mean inter-arrival time is not a positive time.Duration for
+// every driver. A mean under 1 ns truncates to 0, and one past the
+// int64 range has no Duration (on amd64 it converts to a negative one);
+// either way Engine.Exponential returns 0 and arrivals re-fire at one
+// virtual instant forever. The largest driver, min(CohortSize, Clients)
+// members, has the shortest mean; the last driver takes the remainder
+// and is never larger.
+func (c *Config) checkArrivalMean(field string, rate float64) error {
+	members := min(c.cohortSize(), c.Clients)
+	switch m := c.arrivalMean(rate, members); {
+	case m < 1:
+		return fmt.Errorf("fabric: arrival rate too high: a %d-client driver's mean inter-arrival time %.3g ns truncates to 0, got %s %g tps", members, m, field, rate)
+	case m >= math.MaxInt64:
+		return fmt.Errorf("fabric: arrival rate too low: a %d-client driver's mean inter-arrival time %.3g ns overflows a time.Duration, got %s %g tps", members, m, field, rate)
+	}
+	return nil
 }
 
 // RatePhase is one segment of a time-varying arrival process.

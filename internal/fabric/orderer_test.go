@@ -1,9 +1,12 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/chaincode"
+	"repro/internal/chaincodes/ehr"
 	"repro/internal/consensus"
 	"repro/internal/ledger"
 	"repro/internal/sim"
@@ -293,5 +296,45 @@ func TestRateSchedule(t *testing.T) {
 	// Expected volume ~ 10*10 + 10*100 = 1100 txs.
 	if rep.Total < 700 || rep.Total > 1500 {
 		t.Errorf("scheduled run produced %d txs, want ~1100", rep.Total)
+	}
+}
+
+// BenchmarkOrderingCut_EHRBlock times the block cut of one full block
+// of 100 EHR transactions endorsed against genesis: block assembly and
+// hashing, validation (VSCC and MVCC) on the ordering service's
+// validator replica, and scheduling the delivery. Each iteration starts
+// off the clock from a fresh copy of the genesis replica.
+func BenchmarkOrderingCut_EHRBlock(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Duration = time.Second
+	cfg.Chaincode = ehr.New()
+	cfg.Workload = ehr.NewWorkload(1)
+	nw, err := NewNetwork(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	genesis := nw.vals[0].db
+	var txs []*ledger.Transaction
+	for _, inv := range ehrInvocations(1000) {
+		if len(txs) == cfg.BlockSize {
+			break
+		}
+		stub := chaincode.NewStub(genesis)
+		if cfg.Chaincode.Invoke(stub, inv.Function, inv.Args) != nil {
+			continue
+		}
+		txs = append(txs, mkTx(nw, fmt.Sprintf("t%d", len(txs)), stub.RWSet()))
+	}
+	os := nw.orderers[0]
+	tip := nw.chains[0].Block(0).Hash
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		nw.vals[0] = newValidator(nw, genesis.Clone(1))
+		os.blockNum, os.prevHash = 0, tip
+		os.pending = append([]*ledger.Transaction(nil), txs...)
+		b.StartTimer()
+		os.cut("size")
 	}
 }

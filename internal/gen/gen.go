@@ -122,16 +122,7 @@ func GenChainSpec() ChaincodeSpec {
 
 // KeyName formats a seeded world-state key: "key_" and i zero-padded
 // to six digits, exactly as fmt's "key_%06d" renders it.
-func KeyName(i int) string {
-	if i < 0 {
-		return fmt.Sprintf("key_%06d", i) // only reachable through keyArg
-	}
-	buf := append(make([]byte, 0, len("key_")+20), "key_"...)
-	for p := 100000; p > i && p > 1; p /= 10 {
-		buf = append(buf, '0')
-	}
-	return string(strconv.AppendInt(buf, int64(i), 10))
-}
+func KeyName(i int) string { return chaincode.PaddedKey("key_", i, 6) }
 
 // insertKeyName formats a fresh key that cannot collide with seeded
 // ones.

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -34,24 +33,10 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// before reports whether ev runs before o. (at, seq) is a strict total
+// order, so every correct heap pops events in the same order.
+func (ev *event) before(o *event) bool {
+	return ev.at < o.at || (ev.at == o.at && ev.seq < o.seq)
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -59,7 +44,7 @@ func (h *eventHeap) Pop() interface{} {
 type Engine struct {
 	now     Time
 	seq     uint64
-	pq      eventHeap
+	pq      []event // binary min-heap on (at, seq), held by value
 	rng     *rand.Rand
 	stopped bool
 	// processed counts executed events, for diagnostics.
@@ -89,7 +74,19 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.pq, &event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, fn: fn}
+	e.pq = append(e.pq, ev)
+	h := e.pq
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
 }
 
 // After schedules fn to run d after the current virtual time. Negative
@@ -126,12 +123,41 @@ func (e *Engine) RunUntil(deadline Time) {
 }
 
 func (e *Engine) step() {
-	ev := heap.Pop(&e.pq).(*event)
+	ev := e.pop()
 	if ev.at > e.now {
 		e.now = ev.at
 	}
 	e.processed++
 	ev.fn()
+}
+
+// pop removes and returns the earliest event.
+func (e *Engine) pop() event {
+	h := e.pq
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = event{} // drop the callback reference
+	h = h[:n]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && h[child+1].before(&h[child]) {
+			child++
+		}
+		if !h[child].before(&last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	e.pq = h
+	return top
 }
 
 // Pending reports the number of queued events.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -278,5 +279,84 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 			e.After(time.Duration(j)*time.Microsecond, func() {})
 		}
 		e.Run()
+	}
+}
+
+// refHeap is the container/heap event queue the engine used before its
+// hand-inlined value heap, kept as the reference for the pop order.
+type refHeap []*event
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// TestHeapMatchesContainerHeap interleaves random schedules, with many
+// equal timestamps, and steps, and requires the engine to run events in
+// the reference heap's pop order at the reference's times.
+func TestHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 100; trial++ {
+		e := NewEngine(1)
+		var ref refHeap
+		var got, want []event
+		var seq uint64
+		for op := 0; op < 3000; op++ {
+			if ref.Len() == 0 || rng.Intn(5) < 3 {
+				at := e.Now() + Time(rng.Intn(4))
+				seq++
+				id := seq
+				e.At(at, func() { got = append(got, event{at: e.Now(), seq: id}) })
+				heap.Push(&ref, &event{at: at, seq: id})
+				continue
+			}
+			e.step()
+			want = append(want, *heap.Pop(&ref).(*event))
+		}
+		e.Run()
+		for ref.Len() > 0 {
+			want = append(want, *heap.Pop(&ref).(*event))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: ran %d events, reference popped %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].at != want[i].at || got[i].seq != want[i].seq {
+				t.Fatalf("trial %d, event %d: ran (%v, %d), reference (%v, %d)",
+					trial, i, got[i].at, got[i].seq, want[i].at, want[i].seq)
+			}
+		}
+	}
+}
+
+// BenchmarkEngineSchedule times one At and one step on a queue held at
+// about 1000 events, the steady state of a busy network.
+func BenchmarkEngineSchedule(b *testing.B) {
+	e := NewEngine(1)
+	noop := func() {}
+	delays := make([]time.Duration, 1024)
+	rng := rand.New(rand.NewSource(1))
+	for i := range delays {
+		delays[i] = time.Duration(rng.Intn(int(time.Millisecond)))
+	}
+	for i := 0; i < 1000; i++ {
+		e.After(delays[i], noop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(delays[i%len(delays)], noop)
+		e.step()
 	}
 }
